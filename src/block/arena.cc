@@ -1,27 +1,7 @@
 #include "src/block/arena.h"
 
-#include <cstdlib>
+#include <algorithm>
 #include <cstring>
-
-// ASan manual poisoning: pooled chunks are poisoned so a dangling
-// string_view into recycled slab memory faults immediately under the
-// sanitizer instead of silently reading stale bytes.
-#if defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define JIFFY_ASAN 1
-#endif
-#elif defined(__SANITIZE_ADDRESS__)
-#define JIFFY_ASAN 1
-#endif
-
-#ifdef JIFFY_ASAN
-#include <sanitizer/asan_interface.h>
-#define JIFFY_POISON(p, n) ASAN_POISON_MEMORY_REGION((p), (n))
-#define JIFFY_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION((p), (n))
-#else
-#define JIFFY_POISON(p, n) ((void)0)
-#define JIFFY_UNPOISON(p, n) ((void)0)
-#endif
 
 namespace jiffy {
 
@@ -32,17 +12,6 @@ std::atomic<uint64_t>& CopyMeter::Counter() {
 
 SlabArena::SlabArena(size_t chunk_bytes)
     : chunk_bytes_(chunk_bytes == 0 ? kDefaultChunkBytes : chunk_bytes) {}
-
-SlabArena::~SlabArena() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto* list : {&active_, &retired_, &pool_}) {
-    for (Chunk& c : *list) {
-      JIFFY_UNPOISON(c.data, c.cap);
-      std::free(c.data);
-    }
-    list->clear();
-  }
-}
 
 std::string_view SlabArena::Store(std::string_view bytes) {
   char* dst = Alloc(bytes.size());
@@ -58,106 +27,26 @@ char* SlabArena::Alloc(size_t n) {
   // Keep every allocation 8-byte aligned so fixed-width record headers can
   // live in slab memory too.
   const size_t need = (n + 7) & ~size_t{7};
-  if (active_.empty() || active_.back().cap - active_.back().used < need) {
-    AddChunkLocked(need);
+  if (chunks_.empty() || chunks_.back().cap - chunks_.back().used < need) {
+    // An oversize request gets a dedicated chunk.
+    const size_t cap = std::max(need, chunk_bytes_);
+    chunks_.push_back(
+        Chunk{std::make_unique_for_overwrite<char[]>(cap), cap, 0});
   }
-  Chunk& c = active_.back();
-  char* p = c.data + c.used;
+  Chunk& c = chunks_.back();
+  char* p = c.data.get() + c.used;
   c.used += need;
   stored_bytes_.fetch_add(n, std::memory_order_relaxed);
   return p;
 }
 
-void SlabArena::AddChunkLocked(size_t min_bytes) {
-  // Prefer recycling a pooled chunk (slabs freed by a prior migration or
-  // compaction) over a fresh malloc.
-  for (size_t i = 0; i < pool_.size(); ++i) {
-    if (pool_[i].cap >= min_bytes) {
-      Chunk c = pool_[i];
-      pool_.erase(pool_.begin() + static_cast<ptrdiff_t>(i));
-      JIFFY_UNPOISON(c.data, c.cap);
-      c.used = 0;
-      active_.push_back(c);
-      recycled_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-  }
-  Chunk c;
-  c.cap = min_bytes > chunk_bytes_ ? min_bytes : chunk_bytes_;
-  c.data = static_cast<char*>(std::malloc(c.cap));
-  c.used = 0;
-  active_.push_back(c);
-}
-
-void SlabArena::RetireActive() {
-  // No TryRelease here: the compaction that retires these chunks still
-  // reads them while re-storing live records into fresh ones, so they must
-  // stay readable (and unpoisoned) until the caller's explicit TryRelease.
-  std::lock_guard<std::mutex> lock(mu_);
-  for (Chunk& c : active_) {
-    retired_.push_back(c);
-  }
-  active_.clear();
-  stored_bytes_.store(0, std::memory_order_relaxed);
-  garbage_bytes_.store(0, std::memory_order_relaxed);
-}
-
-void SlabArena::TryRelease() {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Conservative: any outstanding pin blocks release of ALL retired chunks.
-  // New pins only ever reference active chunks, so this is safe and the
-  // retired list drains as soon as the last pinned reader finishes.
-  if (pins_.load(std::memory_order_acquire) != 0) {
-    return;
-  }
-  for (Chunk& c : retired_) {
-    JIFFY_POISON(c.data, c.cap);
-    pool_.push_back(c);
-  }
-  retired_.clear();
-}
-
 size_t SlabArena::footprint_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   size_t total = 0;
-  for (const auto* list : {&active_, &retired_, &pool_}) {
-    for (const Chunk& c : *list) {
-      total += c.cap;
-    }
+  for (const Chunk& c : chunks_) {
+    total += c.cap;
   }
   return total;
-}
-
-size_t SlabArena::active_chunks() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return active_.size();
-}
-
-size_t SlabArena::retired_chunks() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return retired_.size();
-}
-
-size_t SlabArena::pooled_chunks() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return pool_.size();
-}
-
-bool SlabArena::IsPoisoned(const void* p) {
-#ifdef JIFFY_ASAN
-  return __asan_address_is_poisoned(p) != 0;
-#else
-  (void)p;
-  return false;
-#endif
-}
-
-bool SlabArena::PoisonActive() {
-#ifdef JIFFY_ASAN
-  return true;
-#else
-  return false;
-#endif
 }
 
 }  // namespace jiffy

@@ -4,27 +4,27 @@
 // its payload bytes — keys, values, items, file data — in a per-block
 // SlabArena instead of per-entry std::strings. Allocation is a bump pointer
 // into fixed-size chunks, so the data plane pays one memcpy per stored
-// payload and zero per-entry heap allocations; freeing is wholesale: chunks
-// are retired together (content destruction, migration, compaction) and
-// recycled through a poisoned pool.
+// payload and zero per-entry heap allocations. Chunks are never freed one
+// by one: they all go when the arena object dies.
+//
+// An arena is one *generation* of a content's bytes. Reclaiming garbage
+// (CuckooHashMap::CompactArena) copies the live records into a fresh
+// SlabArena and swaps it in; shared_ptr frees the old generation once its
+// last reference drops — the same way content teardown frees an arena.
 //
 // Readers hand out `std::string_view`s into arena memory. The lifetime rule
-// is pin/epoch based (DESIGN.md §11):
+// is pin based (DESIGN.md §11):
 //
 //   * A reader that wants views to outlive the owning block's mutex takes an
-//     ArenaPin while still holding the mutex, then unlocks. Views stay valid
-//     for the life of the pin.
-//   * Writers never mutate stored bytes in place — an overwrite appends a
-//     new record and marks the old bytes as garbage — so a pinned reader's
-//     view is immutable, not just non-dangling.
-//   * Reclamation (compaction, migration recycle, content teardown) moves
-//     chunks active → retired. Retired chunks are released to the pool only
-//     when the pin count is zero, so a concurrent chunked split/merge can
-//     never free slab bytes referenced by an in-flight response.
+//     ArenaPin while still holding the mutex, then unlocks. The pin holds a
+//     reference to that generation, so its views stay valid for the life of
+//     the pin across compaction, migration and content teardown.
+//   * Writers never mutate bytes a pin could see: while pins() > 0 an
+//     overwrite appends a new record and marks the old bytes as garbage, so
+//     a pinned reader's view is immutable, not just non-dangling.
 //
-// Pooled chunk memory is ASan-poisoned, so a dangling view into recycled
-// slab space trips AddressSanitizer immediately instead of reading stale
-// bytes (tests/arena_lifetime_test.cc exercises exactly this).
+// A freed generation is an ordinary heap free, so a dangling view into it is
+// a heap-use-after-free that AddressSanitizer reports on its own.
 
 #ifndef SRC_BLOCK_ARENA_H_
 #define SRC_BLOCK_ARENA_H_
@@ -60,14 +60,13 @@ class SlabArena {
   static constexpr size_t kDefaultChunkBytes = 64 * 1024;
 
   explicit SlabArena(size_t chunk_bytes = kDefaultChunkBytes);
-  ~SlabArena();
 
   SlabArena(const SlabArena&) = delete;
   SlabArena& operator=(const SlabArena&) = delete;
 
-  // Copies `bytes` into arena memory and returns a stable view of the copy
-  // (valid until the holding chunk is released, see the pin rule above).
-  // Counted by CopyMeter. Call with the owning block's mutex held.
+  // Copies `bytes` into arena memory and returns a view of the copy, valid
+  // for the life of this arena (see the pin rule above). Counted by
+  // CopyMeter. Call with the owning block's mutex held.
   std::string_view Store(std::string_view bytes);
 
   // Raw uninitialized allocation (FileChunk's fixed buffer). Same locking
@@ -75,7 +74,8 @@ class SlabArena {
   char* Alloc(size_t n);
 
   // Accounting-only logical free: the bytes stay valid (readers may still
-  // hold views) but count as garbage until the next retire/compaction.
+  // hold views) but count as garbage until compaction moves the live
+  // records to the next generation.
   void NoteGarbage(size_t n) {
     garbage_bytes_.fetch_add(n, std::memory_order_relaxed);
   }
@@ -92,26 +92,12 @@ class SlabArena {
     }
   }
 
-  // Moves every active chunk to the retired list; subsequent Store/Alloc
-  // calls draw fresh (or pooled) chunks. Retired bytes stay readable until
-  // TryRelease succeeds, so a compactor can copy out of the old slabs after
-  // retiring them. Call with the owning block's mutex held.
-  void RetireActive();
-
-  // Releases retired chunks into the poisoned pool if and only if no pins
-  // are outstanding. Called by Unpin when the count drops to zero and by
-  // compaction after its copy loop; safe to call anytime.
-  void TryRelease();
-
   // --- Pinning (readers) ----------------------------------------------------
   // Take the pin under the block mutex; drop it whenever done. Prefer the
-  // RAII ArenaPin below over calling these directly.
+  // RAII ArenaPin below over calling these directly. The count only gates
+  // in-place overwrites; the pin's shared_ptr is what keeps the bytes alive.
   void Pin() { pins_.fetch_add(1, std::memory_order_acq_rel); }
-  void Unpin() {
-    if (pins_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      TryRelease();
-    }
-  }
+  void Unpin() { pins_.fetch_sub(1, std::memory_order_acq_rel); }
   int64_t pins() const { return pins_.load(std::memory_order_acquire); }
 
   // --- Accounting -----------------------------------------------------------
@@ -126,52 +112,30 @@ class SlabArena {
     const size_t garbage = garbage_bytes();
     return stored >= garbage ? stored - garbage : 0;
   }
-  // Total chunk bytes currently held (active + retired + pooled).
+  // Total chunk bytes this generation holds.
   size_t footprint_bytes() const;
-  size_t active_chunks() const;
-  size_t retired_chunks() const;
-  size_t pooled_chunks() const;
-  // Chunks reused from the pool instead of freshly allocated (slab
-  // recycling across migrations, tested in arena_lifetime_test.cc).
-  uint64_t recycled_chunks() const {
-    return recycled_.load(std::memory_order_relaxed);
-  }
-
-  // True when `p` points into ASan-poisoned pool memory (always false in
-  // non-ASan builds). Lets tests assert the poisoning without faulting.
-  static bool IsPoisoned(const void* p);
-  // True when this build poisons pooled chunks (i.e. ASan is active).
-  static bool PoisonActive();
 
  private:
   struct Chunk {
-    char* data = nullptr;
+    std::unique_ptr<char[]> data;
     size_t cap = 0;
     size_t used = 0;
   };
 
-  // Appends a chunk with at least `min_bytes` of space to active_, pulling
-  // from the pool when a pooled chunk is large enough. mu_ must be held.
-  void AddChunkLocked(size_t min_bytes);
-
   const size_t chunk_bytes_;
-  // Guards the chunk lists. Allocation additionally requires the owning
-  // block's mutex; mu_ exists because Unpin (and thus TryRelease) runs
-  // outside it.
+  // Guards chunks_. Allocation additionally requires the owning block's
+  // mutex; mu_ lets footprint_bytes() run from threads that do not hold it.
   mutable std::mutex mu_;
-  std::vector<Chunk> active_;
-  std::vector<Chunk> retired_;
-  std::vector<Chunk> pool_;
+  std::vector<Chunk> chunks_;
   std::atomic<int64_t> pins_{0};
   std::atomic<size_t> stored_bytes_{0};
   std::atomic<size_t> garbage_bytes_{0};
-  std::atomic<uint64_t> recycled_{0};
 };
 
-// RAII arena pin with shared ownership: the pin keeps retired slabs from
-// being recycled AND keeps the arena object itself alive, so views stay
-// valid even if the content that handed them out is destroyed (lease expiry,
-// RemoveContent) while a response is in flight.
+// RAII arena pin with shared ownership: the pin keeps the generation it was
+// taken on alive, so views stay valid after a compaction swaps in the next
+// generation, and after the content that handed them out is destroyed
+// (lease expiry, RemoveContent) while a response is in flight.
 class ArenaPin {
  public:
   ArenaPin() = default;

@@ -58,8 +58,10 @@ Status JiffyClient::RegisterJob(const std::string& job) {
 
 Status JiffyClient::DeregisterJob(const std::string& job) {
   cluster_->control_transport()->RoundTrip(64, 64);
-  return WithMetaRetry(
-      job, [&](Controller* ctl) { return ctl->DeregisterJob(job); });
+  JIFFY_RETURN_IF_ERROR(WithMetaRetry(
+      job, [&](Controller* ctl) { return ctl->DeregisterJob(job); }));
+  cluster_->registry()->RemoveJob(job);
+  return Status::Ok();
 }
 
 Status JiffyClient::CreateAddrPrefix(const std::string& addr,

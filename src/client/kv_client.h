@@ -66,9 +66,9 @@ class KvClient : public DsClient {
 
   // Zero-copy batched read (DESIGN.md §11): values are views into block
   // arena memory, kept alive by the pins — no payload bytes are copied
-  // in-process. Views are valid until the PinnedValues is destroyed; the
-  // pins also block slab recycling by concurrent repartition chunk-moves,
-  // so drop the result promptly.
+  // in-process. Views are valid until the PinnedValues is destroyed; each
+  // pin keeps its block's arena generation alive after a compaction or
+  // migration replaces it, so drop the result promptly.
   struct PinnedValues {
     std::vector<Result<std::string_view>> values;
     std::vector<ArenaPin> pins;

@@ -233,7 +233,12 @@ bool Repartitioner::HandleKvOverload(const Hint& hint, Controller* ctl,
       return false;
     }
   }
-  auto dest_r = ctl->AllocateUnmapped(hint.job, hint.prefix, mid, hi);
+  // The destination starts out owning the empty range [mid, mid) and gains
+  // [mid, hi) only in the final hold. A freed block can be reused as a
+  // destination while a reader's cached map still names it; owning nothing
+  // until then, it answers such a reader kStaleMetadata, never a NOT_FOUND
+  // for a key whose pairs have not arrived yet.
+  auto dest_r = ctl->AllocateUnmapped(hint.job, hint.prefix, mid, mid);
   if (!dest_r.ok()) {
     return false;  // No free blocks: decline, do not spin.
   }
@@ -541,9 +546,7 @@ Status Repartitioner::MigrateKvRange(const Hint& hint, Controller* ctl,
         // The residual transfer is the blocking part of the migration —
         // charged inside the hold on purpose.
         data_net_->RoundTrip(delta_bytes + 64, 64);
-        if (!dest_unmapped) {
-          st = dshard->ExtendRange(from_slot, end_slot);
-        }
+        st = dshard->ExtendRange(from_slot, end_slot);
         if (st.ok()) {
           shard->FinishMigration();
         }

@@ -138,12 +138,12 @@ class Repartitioner {
   // Chunked KV migration shared by split ([from, end) → fresh unmapped
   // block) and merge (whole range → live sibling). Copies snapshot chunks
   // with the source lock released in between, reconciles the dirty delta
-  // under the final two-block hold, calls `commit` (controller publish)
-  // after the locks drop, and unwinds every abort path. `dest_unmapped`
-  // distinguishes a split destination (fresh unmapped block, owns [from,
-  // end) since InitBlock; aborted via AbortUnmapped) from a merge
-  // destination (live sibling; gains the range via ExtendRange in the final
-  // hold; aborted via DropRange).
+  // under the final two-block hold, where the destination gains the range
+  // via ExtendRange, calls `commit` (controller publish) after the locks
+  // drop, and unwinds every abort path. `dest_unmapped` distinguishes a
+  // split destination (fresh unmapped block that owns the empty range
+  // [from, from) until the final hold; aborted via AbortUnmapped) from a
+  // merge destination (live sibling; aborted via DropRange).
   Status MigrateKvRange(const Hint& hint, Controller* ctl, Block* src,
                         Block* dest, uint32_t from_slot, uint32_t end_slot,
                         bool dest_unmapped,

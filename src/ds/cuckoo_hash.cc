@@ -9,10 +9,7 @@
 
 namespace jiffy {
 
-CuckooHashMap::CuckooHashMap(std::shared_ptr<SlabArena> arena,
-                             size_t initial_buckets)
-    : arena_(arena != nullptr ? std::move(arena)
-                              : std::make_shared<SlabArena>()) {
+CuckooHashMap::CuckooHashMap(size_t initial_buckets) {
   size_t n = std::bit_ceil(initial_buckets < 2 ? size_t{2} : initial_buckets);
   buckets_.resize(n);
   mask_ = n - 1;
@@ -248,7 +245,7 @@ size_t CuckooHashMap::ExtractIf(
         const Record& r = records_[s.rec];
         // The sink sees views into bytes that are garbage the moment we
         // free the record — still readable until the arena compacts, and
-        // a caller holding a pin keeps even that from recycling them.
+        // past that for a caller holding a pin on this generation.
         sink(r.key(), r.value());
         FreeRecord(s.rec);
         s.tag = 0;
@@ -262,21 +259,19 @@ size_t CuckooHashMap::ExtractIf(
 }
 
 void CuckooHashMap::CompactArena() {
-  // Retire the current chunks first, then copy live records into fresh
-  // ones. Retired chunks stay readable until the last ArenaPin drops, so a
-  // concurrent reader's views survive the compaction.
-  arena_->RetireActive();
+  // Swap in the next generation first, then copy live records into it out
+  // of the old one. `old` keeps the source readable for the whole copy no
+  // matter when readers drop their pins; it (or the last pin) frees it.
+  const std::shared_ptr<SlabArena> old =
+      std::exchange(arena_, std::make_shared<SlabArena>());
   for (Bucket& b : buckets_) {
     for (Slot& s : b.slots) {
       if (s.tag != 0) {
         Record& r = records_[s.rec];
-        const std::string_view key = r.key();
-        const std::string_view value = r.value();
-        StoreRecord(key, value, &r);
+        StoreRecord(r.key(), r.value(), &r);
       }
     }
   }
-  arena_->TryRelease();
 }
 
 double CuckooHashMap::GarbageRatio() const {

@@ -11,7 +11,7 @@
 // 32-bit key fingerprint (tag, 0 = empty) plus a 32-bit index into a record
 // table — so a whole bucket is one 32-byte probe and a negative lookup
 // usually never touches key bytes. Key/value bytes live contiguously
-// ([key][value]) in the owning shard's SlabArena; the record table holds
+// ([key][value]) in the map's SlabArena; the record table holds
 // {data, klen, vlen}. Cuckoo kicks move slots between buckets, i.e. each
 // kick is an 8-byte swap — record bytes never move during placement.
 //
@@ -24,8 +24,8 @@
 // pin can only be taken under the same block mutex the writer holds), an
 // overwrite that fits the record's original allocation rewrites the value
 // in place, which keeps steady-state overwrite workloads garbage-free.
-// CompactArena() retires the arena's chunks and re-stores live records;
-// retired chunks stay valid until the last pin drops.
+// CompactArena() copies the live records into a fresh arena generation and
+// swaps it in; pins keep the old generation alive until they drop.
 
 #ifndef SRC_DS_CUCKOO_HASH_H_
 #define SRC_DS_CUCKOO_HASH_H_
@@ -44,9 +44,8 @@ namespace jiffy {
 class CuckooHashMap {
  public:
   // `initial_buckets` is rounded up to a power of two. The map stores all
-  // key/value bytes in `arena` (a fresh private arena when null).
-  explicit CuckooHashMap(std::shared_ptr<SlabArena> arena = nullptr,
-                         size_t initial_buckets = 16);
+  // key/value bytes in its own arena (arena()).
+  explicit CuckooHashMap(size_t initial_buckets = 16);
 
   // Inserts or replaces, copying the operands into the arena (the data
   // plane's single copy-in). Returns the previous value's size if the key
@@ -73,16 +72,17 @@ class CuckooHashMap {
       const;
 
   // Removes every entry matching `pred` and hands it to `sink` as arena
-  // views (the repartitioner copies them out of the pinned slabs). The
-  // extracted bytes become arena garbage.
+  // views (the repartitioner copies them out). The extracted bytes become
+  // arena garbage.
   size_t ExtractIf(
       const std::function<bool(std::string_view)>& pred,
       const std::function<void(std::string_view, std::string_view)>& sink);
 
-  // Rewrites live records into fresh arena chunks and retires the old ones
-  // (recycled once no pins remain). Call when garbage_ratio() says the
-  // slabs are mostly dead — after a migration drops a key range, or after
-  // heavy overwrite churn. Invalidates unpinned views.
+  // Copies the live records into a new arena generation and swaps it in.
+  // The old generation is freed on return unless an ArenaPin still holds
+  // it. Call when GarbageRatio() says the slabs are mostly dead — after a
+  // migration drops a key range, or after heavy overwrite churn.
+  // Invalidates unpinned views, and any arena() handle taken before.
   void CompactArena();
 
   // Fraction of stored arena bytes that are garbage (0 when empty).
@@ -91,6 +91,7 @@ class CuckooHashMap {
   // Load factor over bucket slots.
   double LoadFactor() const;
 
+  // The current generation; CompactArena() replaces it.
   const std::shared_ptr<SlabArena>& arena() const { return arena_; }
 
  private:
@@ -139,7 +140,7 @@ class CuckooHashMap {
 
   void Rehash();
 
-  std::shared_ptr<SlabArena> arena_;
+  std::shared_ptr<SlabArena> arena_ = std::make_shared<SlabArena>();
   std::vector<Bucket> buckets_;
   std::vector<Record> records_;
   std::vector<uint32_t> free_recs_;

@@ -236,8 +236,8 @@ size_t KvShard::FinishMigration() {
   const size_t dropped = DropRange(migrate_from_, slot_hi_);
   slot_hi_ = migrate_from_;
   AbortMigration();  // Clears snapshot + dirty state.
-  // The migrated range's bytes are all garbage now; rewrite the survivors
-  // into fresh slabs so the old chunks recycle (pinned readers excepted).
+  // The migrated range's bytes are all garbage now; copying the survivors
+  // into a new generation frees the old one (once pinned readers finish).
   MaybeCompact();
   return dropped;
 }

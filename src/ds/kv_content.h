@@ -9,12 +9,12 @@
 // with kStaleMetadata so clients holding an outdated partition map refresh
 // and re-route.
 //
-// Pair bytes live in a per-shard SlabArena (shared with the cuckoo map);
-// read operators return string_views into it. The views are valid under the
-// owning block's mutex, or across an unlock if the reader took an ArenaPin
-// on arena() first (DESIGN.md §11). Mutating operators may compact the
-// arena when its garbage ratio gets high; pinned readers keep the retired
-// slabs alive until they finish.
+// Pair bytes live in the cuckoo map's SlabArena; read operators return
+// string_views into it. The views are valid under the owning block's mutex,
+// or across an unlock if the reader took an ArenaPin on arena() first
+// (DESIGN.md §11). Mutating operators may compact when the garbage ratio
+// gets high, which swaps in a new arena generation; a pinned reader keeps
+// the generation it read from alive until it finishes.
 
 #ifndef SRC_DS_KV_CONTENT_H_
 #define SRC_DS_KV_CONTENT_H_
@@ -95,13 +95,13 @@ class KvShard : public BlockContent {
   size_t pair_count() const { return map_.size(); }
   size_t capacity() const { return capacity_; }
 
-  // The shard's slab arena. Readers that must keep views past the block
-  // mutex take ArenaPin(arena()) while still holding the lock.
+  // The shard's current arena generation. Readers that must keep views past
+  // the block mutex take ArenaPin(arena()) while still holding the lock.
   const std::shared_ptr<SlabArena>& arena() const { return map_.arena(); }
 
   // Repartitioning support: removes every pair whose slot is in
-  // [from_slot, slot_hi) and appends it to `out` (copied out of the pinned
-  // slabs — the move buffer must own its bytes across blocks), then shrinks
+  // [from_slot, slot_hi) and appends it to `out` (copied out of the arena —
+  // the move buffer must own its bytes across blocks), then shrinks
   // this shard's range to [slot_lo, from_slot). Returns pairs moved.
   size_t SplitOff(uint32_t from_slot,
                   std::vector<std::pair<std::string, std::string>>* out);
@@ -149,8 +149,8 @@ class KvShard : public BlockContent {
   std::vector<std::string> TakeDirtyKeys();
 
   // Drops every pair in [migrate_from, slot_hi), shrinks the owned range to
-  // [slot_lo, migrate_from) and ends the migration. Compacts the arena so
-  // the migrated range's slabs are recycled for future inserts. Returns
+  // [slot_lo, migrate_from) and ends the migration. Compacts the arena, so
+  // the migrated range's bytes are freed with the old generation. Returns
   // pairs dropped.
   size_t FinishMigration();
 
@@ -188,9 +188,9 @@ class KvShard : public BlockContent {
   void NoteDirty(std::string_view key, uint32_t slot);
 
   // Compacts the arena when mostly garbage (overwrite/delete churn, dropped
-  // ranges). Never runs during a migration — SplitOffChunk's snapshot
-  // cursor and the repartitioner's pinned copy-outs expect stable slabs
-  // between chunk holds; FinishMigration compacts once at the end.
+  // ranges). Never runs during a migration — the migrating range's pairs
+  // are all still live, so compacting would copy them only to drop them at
+  // FinishMigration, which compacts once at the end.
   void MaybeCompact();
 
   const size_t capacity_;

@@ -83,7 +83,7 @@ class QueueSegment : public BlockContent {
   // not cached — redelivering "empty" and popping a freshly enqueued item
   // are both linearizable outcomes for the retried call. The cache keeps
   // the most recent kRedeliveryWindow deliveries (FIFO eviction); cached
-  // views stay valid because the arena never recycles segment bytes.
+  // views stay valid because the segment's arena never compacts.
   static constexpr size_t kRedeliveryWindow = 64;
   Result<std::string_view> DequeueWithToken(uint64_t token);
   size_t DequeueBatchWithToken(uint64_t token, size_t max_n,

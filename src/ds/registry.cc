@@ -19,9 +19,12 @@ std::shared_ptr<DsState> DsRegistry::Find(const std::string& job,
   return it == states_.end() ? nullptr : it->second;
 }
 
-void DsRegistry::Remove(const std::string& job, const std::string& prefix) {
+void DsRegistry::RemoveJob(const std::string& job) {
+  const std::string key_prefix = Key(job, "");
   std::lock_guard<std::mutex> lock(mu_);
-  states_.erase(Key(job, prefix));
+  std::erase_if(states_, [&](const auto& entry) {
+    return entry.first.starts_with(key_prefix);
+  });
 }
 
 size_t DsRegistry::size() const {

@@ -5,7 +5,7 @@
 // (Fig 11(b)).
 //
 // Keyed by (job, prefix); owned by the cluster and reachable from client
-// handles.
+// handles. A job's states are dropped when the job deregisters.
 
 #ifndef SRC_DS_REGISTRY_H_
 #define SRC_DS_REGISTRY_H_
@@ -63,7 +63,9 @@ class DsRegistry {
   std::shared_ptr<DsState> Find(const std::string& job,
                                 const std::string& prefix) const;
 
-  void Remove(const std::string& job, const std::string& prefix);
+  // Drops every state of `job`. Handles still open keep theirs alive
+  // through their shared_ptr.
+  void RemoveJob(const std::string& job);
 
   size_t size() const;
 

@@ -1,6 +1,7 @@
 // Unit tests for the slab arena backing block content bytes (DESIGN.md §11):
-// bump allocation, wholesale retire/release, pooled recycling, pin-gated
-// reclamation, and the CopyMeter copy accounting.
+// bump allocation, accounting, pins, arena generations (compaction swaps in
+// a new SlabArena; the old one lives exactly as long as its last pin), and
+// the CopyMeter copy accounting.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "src/block/arena.h"
+#include "src/ds/cuckoo_hash.h"
 
 namespace jiffy {
 namespace {
@@ -37,54 +39,61 @@ TEST(ArenaTest, AccountingTracksStoredGarbageLive) {
   EXPECT_EQ(arena.live_bytes(), 100u);
 }
 
+// The generation a compaction replaces stays readable exactly as long as a
+// pin taken on it: the pin's reference is the only thing keeping it alive.
 TEST(ArenaTest, RetiredBytesStayReadableUntilRelease) {
-  SlabArena arena;
-  const std::string_view v = arena.Store("still-here-after-retire");
-  arena.RetireActive();
-  // The compactor reads retired slabs while re-storing live records, so
-  // retiring must not recycle (or poison) them.
-  EXPECT_EQ(v, "still-here-after-retire");
-  EXPECT_EQ(arena.active_chunks(), 0u);
-  EXPECT_EQ(arena.retired_chunks(), 1u);
-  EXPECT_EQ(arena.pooled_chunks(), 0u);
-  arena.TryRelease();
-  EXPECT_EQ(arena.retired_chunks(), 0u);
-  EXPECT_EQ(arena.pooled_chunks(), 1u);
+  CuckooHashMap map;
+  map.Put("key", "still-here-after-compaction");
+  const std::string_view v = map.Get("key").value();
+  ArenaPin pin(map.arena());
+  const std::weak_ptr<SlabArena> old = map.arena();
+  map.CompactArena();
+  EXPECT_NE(map.arena(), old.lock());
+  EXPECT_FALSE(old.expired());
+  EXPECT_EQ(v, "still-here-after-compaction");
+  EXPECT_EQ(old.lock()->pins(), 1);
+  pin.Release();
+  EXPECT_TRUE(old.expired());
+  EXPECT_EQ(map.Get("key").value(), "still-here-after-compaction");
 }
 
 TEST(ArenaTest, PinBlocksReleaseUntilLastUnpin) {
   auto arena = std::make_shared<SlabArena>();
   const std::string_view v = arena->Store("pinned-bytes");
+  const std::weak_ptr<SlabArena> weak = arena;
   ArenaPin pin1(arena);
   ArenaPin pin2(arena);
   EXPECT_EQ(arena->pins(), 2);
-  arena->RetireActive();
-  arena->TryRelease();  // Blocked: two pins outstanding.
-  EXPECT_EQ(arena->retired_chunks(), 1u);
+  arena.reset();  // The owner swaps in a new generation.
   pin1.Release();
-  arena->TryRelease();  // Still blocked by pin2.
-  EXPECT_EQ(arena->retired_chunks(), 1u);
+  EXPECT_FALSE(weak.expired());  // Still held by pin2.
   EXPECT_EQ(v, "pinned-bytes");
-  pin2.Release();  // Last Unpin releases without an explicit TryRelease.
-  EXPECT_EQ(arena->retired_chunks(), 0u);
-  EXPECT_EQ(arena->pooled_chunks(), 1u);
+  pin2.Release();  // The last pin frees the generation.
+  EXPECT_TRUE(weak.expired());
 }
 
-TEST(ArenaTest, RecyclesPooledChunksInsteadOfAllocating) {
-  SlabArena arena(/*chunk_bytes=*/256);
-  for (int i = 0; i < 8; ++i) {
-    arena.Store(std::string(100, 'x'));
+// With no pin outstanding, the compactor's own reference is the last one:
+// the old generation is freed before CompactArena() returns, and the new
+// one holds only the live records.
+TEST(ArenaTest, UnpinnedCompactionFreesOldGeneration) {
+  CuckooHashMap map;
+  const std::string value(100, 'x');
+  for (int round = 0; round < 20; ++round) {
+    ArenaPin pin(map.arena());  // Forces appends, i.e. garbage.
+    for (int i = 0; i < 100; ++i) {
+      map.Put("key" + std::to_string(i), value);
+    }
   }
-  EXPECT_GE(arena.active_chunks(), 2u);
-  arena.RetireActive();
-  arena.TryRelease();
-  const size_t footprint = arena.footprint_bytes();
-  EXPECT_EQ(arena.recycled_chunks(), 0u);
-  for (int i = 0; i < 8; ++i) {
-    arena.Store(std::string(100, 'y'));
+  const size_t old_footprint = map.arena()->footprint_bytes();
+  const std::weak_ptr<SlabArena> old = map.arena();
+  map.CompactArena();
+  EXPECT_TRUE(old.expired());
+  EXPECT_EQ(map.arena()->garbage_bytes(), 0u);
+  EXPECT_EQ(map.arena()->footprint_bytes(), SlabArena::kDefaultChunkBytes);
+  EXPECT_LT(map.arena()->footprint_bytes(), old_footprint);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(map.Get("key" + std::to_string(i)).value(), value);
   }
-  EXPECT_GE(arena.recycled_chunks(), 2u);
-  EXPECT_EQ(arena.footprint_bytes(), footprint);
 }
 
 TEST(ArenaTest, OversizeAllocationGetsDedicatedChunk) {
@@ -94,17 +103,22 @@ TEST(ArenaTest, OversizeAllocationGetsDedicatedChunk) {
   EXPECT_EQ(v, big);
 }
 
-TEST(ArenaTest, PooledChunksArePoisonedExactlyUnderAsan) {
-  SlabArena arena;
-  const std::string_view v = arena.Store("bytes-that-get-recycled");
-  const void* p = v.data();
-  EXPECT_FALSE(SlabArena::IsPoisoned(p));
-  arena.RetireActive();
-  EXPECT_FALSE(SlabArena::IsPoisoned(p));  // Retired ≠ recycled: still readable.
-  arena.TryRelease();
-  // Once pooled, the bytes are poison under ASan so a dangling view faults
-  // loudly; in plain builds the helper reports false for everything.
-  EXPECT_EQ(SlabArena::IsPoisoned(p), SlabArena::PoisonActive());
+// A compaction leaves the new generation unpinned, so the next overwrite
+// rewrites its record in place. A view pinned on the old generation must not
+// see that write: it stays byte-identical.
+TEST(ArenaTest, PinnedViewsStayByteIdenticalAcrossInPlaceOverwrites) {
+  CuckooHashMap map;
+  map.Put("key", std::string(64, 'a'));
+  const std::string_view v = map.Get("key").value();
+  ArenaPin pin(map.arena());
+  map.CompactArena();
+  const char* fresh = map.Get("key").value().data();
+  for (char c = 'b'; c <= 'z'; ++c) {
+    map.Put("key", std::string(64, c));
+  }
+  EXPECT_EQ(map.Get("key").value().data(), fresh);  // Overwritten in place.
+  EXPECT_EQ(map.arena()->garbage_bytes(), 0u);
+  EXPECT_EQ(v, std::string(64, 'a'));
 }
 
 TEST(ArenaTest, PinKeepsArenaAliveAfterOwnerDrops) {

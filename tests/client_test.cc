@@ -71,6 +71,25 @@ TEST_F(ClientTest, OpenAttachesToExistingDs) {
   EXPECT_EQ(*(*b)->Get("k"), "v");
 }
 
+// Deregistering a job drops the per-data-structure state its handles
+// created; a handle still open afterwards fails cleanly.
+TEST_F(ClientTest, DeregisterJobFreesItsDsState) {
+  const size_t before = cluster_->registry()->size();
+  ASSERT_TRUE(client_->RegisterJob("gone").ok());
+  ASSERT_TRUE(client_->CreateAddrPrefix("/gone/kv", {}).ok());
+  ASSERT_TRUE(client_->CreateAddrPrefix("/gone/q", {}).ok());
+  auto kv = client_->OpenKv("/gone/kv");
+  ASSERT_TRUE(kv.ok());
+  ASSERT_TRUE(client_->OpenQueue("/gone/q").ok());
+  ASSERT_TRUE((*kv)->Put("k", "v").ok());
+  EXPECT_EQ(cluster_->registry()->size(), before + 2);
+  ASSERT_TRUE(client_->DeregisterJob("gone").ok());
+  EXPECT_EQ(cluster_->registry()->size(), before);
+  EXPECT_EQ(cluster_->registry()->Find("gone", "kv"), nullptr);
+  EXPECT_FALSE((*kv)->Put("k", "v2").ok());
+  EXPECT_FALSE((*kv)->Get("k").ok());
+}
+
 // --- File ------------------------------------------------------------------------
 
 TEST_F(ClientTest, FileAppendRead) {

@@ -134,8 +134,10 @@ TEST(FrameCodec, ResponseRoundTripSplitsMetaFromPayload) {
   EXPECT_EQ(resp.payloads[1].data(), v2.data());
   EXPECT_EQ(resp.TotalBytes(), resp.head.size() + v0.size() + v2.size());
 
+  // Decoded values are views into the body, so it must outlive `out`.
+  const std::string body = FlattenResponse(resp);
   DecodedResponse out;
-  ASSERT_TRUE(DecodeResponse(FlattenResponse(resp), &out).ok());
+  ASSERT_TRUE(DecodeResponse(body, &out).ok());
   EXPECT_EQ(out.op, WireOp::kMultiGet);
   EXPECT_EQ(out.tag, 55u);
   EXPECT_EQ(out.overall, StatusCode::kOk);

@@ -97,9 +97,14 @@ TEST(DsRegistryTest, FindAndRemove) {
   DsRegistry reg;
   EXPECT_EQ(reg.Find("j", "t"), nullptr);
   auto state = reg.GetOrCreate("j", "t");
+  reg.GetOrCreate("j", "u");
+  reg.GetOrCreate("jj", "t");  // A job whose name extends "j" is kept.
   EXPECT_EQ(reg.Find("j", "t").get(), state.get());
-  reg.Remove("j", "t");
+  reg.RemoveJob("j");
   EXPECT_EQ(reg.Find("j", "t"), nullptr);
+  EXPECT_EQ(reg.Find("j", "u"), nullptr);
+  EXPECT_NE(reg.Find("jj", "t"), nullptr);
+  EXPECT_EQ(reg.size(), 1u);
   // Existing shared_ptr holders keep the state alive.
   state->queue_items.store(7);
   EXPECT_EQ(state->queue_items.load(), 7);

@@ -84,9 +84,11 @@ TEST(WireServer, ConnectionRefusedSurfacesAsError) {
   EXPECT_FALSE(conn.ok());
 }
 
-// ≥32 RPCs genuinely in flight on one connection, completed OUT OF ORDER by
-// the server's reorder hook, every response matched back to its request by
-// tag (the distinct echo payload proves no crosstalk).
+// Full windows of RPCs in flight on one connection, completed out of order
+// by the server's reorder hook, every response matched back to its request
+// by tag (the distinct echo payload proves no crosstalk). Each wave reserves
+// the whole window with BeginTag before submitting any of it, so the depth
+// holds by construction, not by thread scheduling.
 TEST(WireServer, DeepPipelineSurvivesServerReordering) {
   TcpServer::Options sopts;
   sopts.threads = 2;
@@ -95,41 +97,44 @@ TEST(WireServer, DeepPipelineSurvivesServerReordering) {
   TcpServer server(EchoHandler, sopts);
   ASSERT_TRUE(server.Start().ok());
 
+  constexpr size_t kWindow = 64;
   TcpConnection::Options copts;
-  copts.max_in_flight = 64;
+  copts.max_in_flight = kWindow;
   auto conn = TcpConnection::Connect("127.0.0.1", server.port(), copts);
   ASSERT_TRUE(conn.ok());
 
-  constexpr int kRpcs = 256;
+  constexpr size_t kWaves = 4;
   std::mutex mu;
   std::condition_variable cv;
-  int done = 0;
+  size_t done = 0;
   int mismatches = 0;
-  for (int i = 0; i < kRpcs; ++i) {
-    const std::string key = "key-" + std::to_string(i);
-    const uint64_t tag = (*conn)->BeginTag();
-    std::string frame;
-    EncodeKeysRequest(WireOp::kMultiGet, tag, 1, {key}, &frame);
-    (*conn)->Submit(std::move(frame), tag,
-                    [&, expect = "echo:" + key](WireReply reply) {
-                      std::lock_guard<std::mutex> lock(mu);
-                      if (!reply.transport.ok() || reply.values.size() != 1 ||
-                          reply.values[0] != expect) {
-                        ++mismatches;
-                      }
-                      ++done;
-                      cv.notify_all();
-                    });
-  }
-  {
+  for (size_t wave = 0; wave < kWaves; ++wave) {
+    std::vector<uint64_t> tags;
+    for (size_t i = 0; i < kWindow; ++i) {
+      tags.push_back((*conn)->BeginTag());
+    }
+    for (size_t i = 0; i < kWindow; ++i) {
+      const std::string key = "key-" + std::to_string(wave * kWindow + i);
+      std::string frame;
+      EncodeKeysRequest(WireOp::kMultiGet, tags[i], 1, {key}, &frame);
+      (*conn)->Submit(std::move(frame), tags[i],
+                      [&, expect = "echo:" + key](WireReply reply) {
+                        std::lock_guard<std::mutex> lock(mu);
+                        if (!reply.transport.ok() ||
+                            reply.values.size() != 1 ||
+                            reply.values[0] != expect) {
+                          ++mismatches;
+                        }
+                        ++done;
+                        cv.notify_all();
+                      });
+    }
     std::unique_lock<std::mutex> lock(mu);
     ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
-                            [&] { return done == kRpcs; }));
+                            [&] { return done == (wave + 1) * kWindow; }));
   }
   EXPECT_EQ(mismatches, 0);
-  // The window bound is 64; with 256 submissions the pipeline must have
-  // actually run deep, not degenerated to stop-and-wait.
-  EXPECT_GE((*conn)->max_in_flight_seen(), 32u);
+  EXPECT_EQ((*conn)->max_in_flight_seen(), kWindow);
   server.Stop();
 }
 
