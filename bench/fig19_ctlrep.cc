@@ -1,14 +1,15 @@
 // Fig 19 (extension): replicated control plane — the cost of quorum.
 //
-// Left panel: metadata mutation latency (RenewLease / CreateAddrPrefix)
-// with a single controller vs a 3-replica group. A mutation on the quorum
-// path appends a job-blob entry and fans AppendEntries out in parallel, so
-// the acceptance bar is p50(quorum) <= 2x p50(single) on a modeled
-// intra-DC wire.
+// Left panel: metadata mutation latency (Cas / CreateAddrPrefix) with a
+// single controller vs a 3-replica group. A mutation on the quorum path
+// appends a job-blob entry and fans AppendEntries out in parallel, so the
+// acceptance bar is p50(quorum) <= 2x p50(single) on a modeled intra-DC
+// wire. The hot mutation is a Cas that toggles one tag, so every call
+// applies and the job blob keeps its size.
 //
-// Middle panel: metadata lookups (GetLeaseDuration). The leader serves
-// reads locally under its read lease — replication must not show up here
-// at all.
+// Middle panel: leased local ops (GetLeaseDuration, RenewLease). The
+// leader serves lookups and lease renewals locally under its read lease —
+// replication must not show up here at all.
 //
 // Right panel: failover window — crash the leader under closed-loop
 // renewals and measure wall time until the next metadata op succeeds
@@ -41,9 +42,10 @@ std::unique_ptr<JiffyCluster> MakeCluster(uint32_t controller_replicas) {
 
 struct PlaneResult {
   uint32_t replicas = 1;
-  Histogram renew;    // RenewLease: hot mutation (blob delta only).
+  Histogram cas;      // Cas toggling one tag: hot mutation (blob delta only).
   Histogram create;   // CreateAddrPrefix: mutation that allocates blocks.
   Histogram lookup;   // GetLeaseDuration: leased local read.
+  Histogram renew;    // RenewLease: leased local lease stamp.
 };
 
 // Closed-loop metadata ops against a cluster with `replicas` controller
@@ -56,10 +58,12 @@ void RunPlane(uint32_t replicas, int ops, PlaneResult* out) {
 
   out->replicas = replicas;
   RealClock* clock = RealClock::Instance();
+  const char* tag[] = {"0", "1"};
+  client.Cas("/job/hot", "toggle", "", tag[0]);
   for (int i = 0; i < ops; ++i) {
     const TimeNs t0 = clock->Now();
-    client.RenewLease("/job/hot");
-    out->renew.Record(clock->Now() - t0);
+    client.Cas("/job/hot", "toggle", tag[i % 2], tag[(i + 1) % 2]);
+    out->cas.Record(clock->Now() - t0);
   }
   for (int i = 0; i < ops; ++i) {
     const std::string addr = "/job/p" + std::to_string(i);
@@ -72,6 +76,27 @@ void RunPlane(uint32_t replicas, int ops, PlaneResult* out) {
     client.GetLeaseDuration("/job/hot");
     out->lookup.Record(clock->Now() - t0);
   }
+  for (int i = 0; i < ops; ++i) {
+    const TimeNs t0 = clock->Now();
+    client.RenewLease("/job/hot");
+    out->renew.Record(clock->Now() - t0);
+  }
+}
+
+// One plane's p50/p99 fields for the JSON result, in microseconds.
+std::string PlaneJson(const PlaneResult& p) {
+  char buf[512];
+  std::snprintf(
+      buf, sizeof(buf),
+      "\"cas_p50_us\": %.1f, \"cas_p99_us\": %.1f, \"create_p50_us\": %.1f, "
+      "\"create_p99_us\": %.1f, \"lookup_p50_us\": %.1f, "
+      "\"lookup_p99_us\": %.1f, \"renew_p50_us\": %.1f, "
+      "\"renew_p99_us\": %.1f",
+      p.cas.Percentile(0.50) / 1e3, p.cas.Percentile(0.99) / 1e3,
+      p.create.Percentile(0.50) / 1e3, p.create.Percentile(0.99) / 1e3,
+      p.lookup.Percentile(0.50) / 1e3, p.lookup.Percentile(0.99) / 1e3,
+      p.renew.Percentile(0.50) / 1e3, p.renew.Percentile(0.99) / 1e3);
+  return buf;
 }
 
 struct FailoverResult {
@@ -132,9 +157,10 @@ int main(int argc, char** argv) {
     const Histogram* a;
     const Histogram* b;
   } rows[] = {
-      {"RenewLease (us)", &single.renew, &quorum.renew},
+      {"Cas (us)", &single.cas, &quorum.cas},
       {"CreateAddrPrefix (us)", &single.create, &quorum.create},
       {"GetLeaseDuration (us)", &single.lookup, &quorum.lookup},
+      {"RenewLease (us)", &single.renew, &quorum.renew},
   };
   for (const Row& r : rows) {
     std::printf("%22s %10.1f %10.1f %10.1f %10.1f\n", r.name,
@@ -142,15 +168,20 @@ int main(int argc, char** argv) {
                 r.b->Percentile(0.50) / 1e3, r.b->Percentile(0.99) / 1e3);
   }
   const double mutation_ratio =
-      static_cast<double>(quorum.renew.Percentile(0.50)) /
-      static_cast<double>(single.renew.Percentile(0.50));
+      static_cast<double>(quorum.cas.Percentile(0.50)) /
+      static_cast<double>(single.cas.Percentile(0.50));
   const double lookup_ratio =
       static_cast<double>(quorum.lookup.Percentile(0.50)) /
       static_cast<double>(single.lookup.Percentile(0.50));
+  const double renew_ratio =
+      static_cast<double>(quorum.renew.Percentile(0.50)) /
+      static_cast<double>(single.renew.Percentile(0.50));
   std::printf("  quorum/single mutation p50 ratio: %.2fx (bar: <= 2.0x)\n",
               mutation_ratio);
   std::printf("  quorum/single lookup   p50 ratio: %.2fx (local reads)\n",
               lookup_ratio);
+  std::printf("  quorum/single renew    p50 ratio: %.2fx (local renewals)\n",
+              renew_ratio);
 
   FailoverResult fo = RunFailover();
   std::printf("\nLeader failover (3 replicas, leader %d crashed)\n",
@@ -158,32 +189,24 @@ int main(int argc, char** argv) {
   std::printf("  client-visible window: %.3f ms (new leader: %d)\n",
               fo.window_ns / 1e6, fo.new_leader);
 
+  const std::string single_json = PlaneJson(single);
+  const std::string quorum_json = PlaneJson(quorum);
   char json[1536];
-  std::snprintf(
-      json, sizeof(json),
-      "{\n"
-      "  \"bench\": \"fig19_ctlrep\",\n"
-      "  \"ops\": %d,\n"
-      "  \"single\": {\"renew_p50_us\": %.1f, \"renew_p99_us\": %.1f, "
-      "\"create_p50_us\": %.1f, \"create_p99_us\": %.1f, "
-      "\"lookup_p50_us\": %.1f, \"lookup_p99_us\": %.1f},\n"
-      "  \"quorum\": {\"replicas\": 3, \"renew_p50_us\": %.1f, "
-      "\"renew_p99_us\": %.1f, \"create_p50_us\": %.1f, "
-      "\"create_p99_us\": %.1f, \"lookup_p50_us\": %.1f, "
-      "\"lookup_p99_us\": %.1f},\n"
-      "  \"mutation_p50_ratio\": %.3f,\n"
-      "  \"lookup_p50_ratio\": %.3f,\n"
-      "  \"failover\": {\"window_ms\": %.3f, \"old_leader\": %d, "
-      "\"new_leader\": %d}\n"
-      "}\n",
-      ops, single.renew.Percentile(0.50) / 1e3,
-      single.renew.Percentile(0.99) / 1e3, single.create.Percentile(0.50) / 1e3,
-      single.create.Percentile(0.99) / 1e3, single.lookup.Percentile(0.50) / 1e3,
-      single.lookup.Percentile(0.99) / 1e3, quorum.renew.Percentile(0.50) / 1e3,
-      quorum.renew.Percentile(0.99) / 1e3, quorum.create.Percentile(0.50) / 1e3,
-      quorum.create.Percentile(0.99) / 1e3, quorum.lookup.Percentile(0.50) / 1e3,
-      quorum.lookup.Percentile(0.99) / 1e3, mutation_ratio, lookup_ratio,
-      fo.window_ns / 1e6, fo.old_leader, fo.new_leader);
+  std::snprintf(json, sizeof(json),
+                "{\n"
+                "  \"bench\": \"fig19_ctlrep\",\n"
+                "  \"ops\": %d,\n"
+                "  \"single\": {%s},\n"
+                "  \"quorum\": {\"replicas\": 3, %s},\n"
+                "  \"mutation_p50_ratio\": %.3f,\n"
+                "  \"lookup_p50_ratio\": %.3f,\n"
+                "  \"renew_p50_ratio\": %.3f,\n"
+                "  \"failover\": {\"window_ms\": %.3f, \"old_leader\": %d, "
+                "\"new_leader\": %d}\n"
+                "}\n",
+                ops, single_json.c_str(), quorum_json.c_str(), mutation_ratio,
+                lookup_ratio, renew_ratio, fo.window_ns / 1e6, fo.old_leader,
+                fo.new_leader);
   const char* out_path = "BENCH_fig19_ctlrep.json";
   if (FILE* f = std::fopen(out_path, "w")) {
     std::fputs(json, f);
@@ -193,7 +216,8 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\nexpectation: quorum mutations within 2x of single-controller (one\n"
-      "parallel AppendEntries round trip added); lookups unchanged (leased\n"
-      "local reads); failover ~ election timeout + a few control RTTs.\n");
+      "parallel AppendEntries round trip added); lookups and renewals\n"
+      "unchanged (leased local ops); failover ~ election timeout + a few\n"
+      "control RTTs.\n");
   return 0;
 }

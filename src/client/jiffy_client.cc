@@ -99,7 +99,7 @@ Status JiffyClient::RenewLease(const std::string& addr) {
   cluster_->control_transport()->RoundTrip(64, 64);
   JIFFY_ASSIGN_OR_RETURN(auto split, SplitAddr(addr));
   // Lease renewal is idempotent, so riding through a leader crash with a
-  // blind retry is safe even when the first attempt actually committed.
+  // blind retry is safe even when the first attempt was applied.
   auto renewed = WithMetaRetry(split.first, [&](Controller* ctl) {
     return ctl->RenewLease(split.first, split.second);
   });

@@ -85,8 +85,9 @@ struct JiffyConfig {
   // Controller replicas per shard. 1 (default) = no replication: the single
   // controller mutates its metadata directly, exactly the pre-§14 behavior.
   // >= 3 = a Raft-style group per shard: mutations quorum-commit through a
-  // metadata log before they are acknowledged, lookups stay local reads on
-  // the leaseholding leader, and killing the leader loses nothing committed.
+  // metadata log before they are acknowledged, lookups and lease renewals
+  // stay local on the leaseholding leader, and killing the leader loses
+  // nothing committed.
   uint32_t controller_replicas = 1;
 
   // Election timeout: a replica that hears nothing from a leader for this

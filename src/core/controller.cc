@@ -122,6 +122,9 @@ Result<Controller::LockedJob> Controller::LockJob(
     std::shared_lock<std::shared_mutex> table(jobs_mu_);
     auto it = jobs_.find(job);
     if (it == jobs_.end()) {
+      // A replica demoted mid-call has dropped every job: it must answer
+      // like any non-leader, so the client re-resolves instead of failing.
+      JIFFY_RETURN_IF_ERROR(CheckReadLease());
       return NotFound("job '" + job + "' is not registered");
     }
     slot = it->second;
@@ -130,6 +133,7 @@ Result<Controller::LockedJob> Controller::LockJob(
   // a long-running job operation never stalls lookups of other jobs.
   std::unique_lock<std::mutex> lock(slot->mu);
   if (slot->defunct) {
+    JIFFY_RETURN_IF_ERROR(CheckReadLease());
     return NotFound("job '" + job + "' is not registered");
   }
   return LockedJob(std::move(slot), std::move(lock));
@@ -282,16 +286,18 @@ Result<DurationNs> Controller::GetLeaseDuration(const std::string& job,
 
 Result<uint64_t> Controller::RenewLease(const std::string& job,
                                         const std::string& prefix) {
-  if (ShouldReplicate()) {
-    return ReplicateResult<uint64_t>(
-        "RenewLease", {job}, [&] { return RenewLease(job, prefix); });
-  }
   JIFFY_TRACE_SPAN("ctl.renew_lease", "control");
   obs::ScopedTimer timer(m_renew_ns_);
   ChargeOp();
   JIFFY_ASSIGN_OR_RETURN(LockedJob locked, LockJob(job));
+  // The stamp is read before the read-lease gate, so a renewal is only
+  // acknowledged when its stamp lies inside this leader's lease — and a
+  // successor restarts every lease at or after that lease ends
+  // (RestartLeases), however long the wait for the job mutex was.
+  const TimeNs now = clock_->Now();
+  JIFFY_RETURN_IF_ERROR(CheckReadLease());
   JIFFY_ASSIGN_OR_RETURN(const std::vector<std::string>* renewed,
-                         locked.hier()->RenewLease(prefix, clock_->Now()));
+                         locked.hier()->RenewLease(prefix, now));
   obs::Inc(m_lease_renewals_);
   obs::Inc(m_lease_fanout_, renewed->size());
   stats_.lease_renewals.fetch_add(1, std::memory_order_relaxed);
@@ -1627,6 +1633,22 @@ void Controller::InvalidateRenewalPlans() {
     std::lock_guard<std::mutex> lock(slot->mu);
     if (!slot->defunct) {
       slot->hier.InvalidateRenewalPlans();
+    }
+  }
+}
+
+void Controller::RestartLeases(TimeNs at) {
+  for (const auto& slot : PinAllJobs()) {
+    std::lock_guard<std::mutex> lock(slot->mu);
+    if (slot->defunct) {
+      continue;
+    }
+    for (const auto& name : slot->hier.NodeNames()) {
+      auto node_r = slot->hier.GetNode(name);
+      if (node_r.ok()) {
+        TimeNs& stamp = (*node_r)->lease_renewed_at;
+        stamp = std::max(stamp, at);
+      }
     }
   }
 }

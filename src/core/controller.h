@@ -168,6 +168,12 @@ class Controller {
                                       const std::string& prefix);
   // Renews `prefix` plus immediate parents and all descendants (Fig 5);
   // returns how many prefixes were renewed by this one request.
+  //
+  // A renewal only decides when data may be reclaimed, and expired data is
+  // flushed before it is, so it is not durable state: with a log attached
+  // the leader serves it locally under its read lease (kUnavailable on any
+  // other replica) and appends no entry. A renewal lost with a deposed
+  // leader is covered by RestartLeases on promotion (DESIGN.md §14).
   Result<uint64_t> RenewLease(const std::string& job,
                               const std::string& prefix);
 
@@ -386,7 +392,8 @@ class Controller {
 
   // Routes every subsequent mutating operation through `log` (leader
   // executes + captures job blobs + quorum-commits; see MetadataLog) and
-  // gates lookup paths on the leader read lease. Null detaches.
+  // gates lookup paths and lease renewals on the leader read lease. Null
+  // detaches.
   void AttachMetadataLog(MetadataLog* log) { meta_log_ = log; }
   MetadataLog* metadata_log() const { return meta_log_; }
 
@@ -428,6 +435,13 @@ class Controller {
   // leader change so a promoted replica can never stamp a pre-failover
   // plan (Restore/InstallJobBlob invalidate implicitly by rebuilding).
   void InvalidateRenewalPlans();
+
+  // Raises every lease stamp to at least `at`. Called on promotion with the
+  // new leader's first leased-read instant: renewals are not logged, and
+  // one a deposed leader acknowledged was stamped inside its read lease,
+  // which ends no later than `at`. So a lost renewal only delays
+  // reclamation; it never makes data reclaimable sooner.
+  void RestartLeases(TimeNs at);
 
   // Clears every in-flight migration bracket (the cold-standby promotion
   // path, where the Repartitioner that owned the bracket is gone).
@@ -487,7 +501,9 @@ class Controller {
 
   // Pins and locks `job`: shared table lock to find the slot, then the
   // per-job mutex. Fails with kNotFound when the job is unknown or was
-  // deregistered while we waited for its mutex.
+  // deregistered while we waited for its mutex — or with kUnavailable
+  // instead when a log is attached and this replica has lost the read
+  // lease (a demotion drops every job mid-call).
   Result<LockedJob> LockJob(const std::string& job) const;
 
   // Pins every current job (shared table lock only), in deterministic job-id

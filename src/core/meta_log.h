@@ -12,10 +12,13 @@
 // blobs, so apply is deterministic by construction and never touches the
 // data plane.
 //
-// Read-heavy paths (partition-map fetches, path resolution) do not go
-// through the log: they are served locally by the leader under a read
-// lease (MayServeReads), renewed by quorum contact. A deposed or stale
-// controller answers kUnavailable and the client re-resolves the leader.
+// Read-heavy paths (partition-map fetches, path resolution) and lease
+// renewals do not go through the log: they are served locally by the
+// leader under a read lease (MayServeReads), renewed by quorum contact. A
+// renewal only decides when data may be reclaimed, so it is not durable
+// state; a promoted leader restarts every lease instead. A deposed or
+// stale controller answers kUnavailable and the client re-resolves the
+// leader.
 //
 // A controller with no attached log (the default, controller_replicas = 1)
 // behaves exactly as before: Replicate is never consulted.
@@ -36,7 +39,7 @@ class MetadataLog {
   virtual ~MetadataLog() = default;
 
   // Replicates one mutating controller operation. `op` is a static label
-  // for the log entry ("RenewLease", "CommitSplit", ...). `jobs` names the
+  // for the log entry ("CasTag", "CommitSplit", ...). `jobs` names the
   // jobs whose metadata the operation may touch (empty = all registered
   // jobs, used by cross-job sweeps like HandleServerFailure). `fn` performs
   // the operation against the local controller; the implementation invokes

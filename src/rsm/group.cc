@@ -267,10 +267,14 @@ Status ControllerGroup::PromoteLocked(int i, TimeNs stale_lease_expiry) {
   // leader may have died between quorum and executing them).
   r->ExecuteCommittedFrees(old_commit);
   const TimeNs now = clock_->Now();
+  const TimeNs reads_ok_after = std::max(now, stale_lease_expiry);
+  r->reads_ok_after_.store(reads_ok_after, std::memory_order_release);
+  // Renewals are never logged, so restart every lease where this leader's
+  // reads begin (see RestartLeases) — before its read lease is granted, so
+  // it serves no renewal ahead of the restart.
+  r->ctl_->RestartLeases(reads_ok_after);
   r->lease_expiry_.store(now + config_.rsm_read_lease,
                          std::memory_order_release);
-  r->reads_ok_after_.store(std::max(now, stale_lease_expiry),
-                           std::memory_order_release);
   // Second round so followers learn the advanced commit index promptly.
   BroadcastAppendLocked(i);
   return Status::Ok();

@@ -41,8 +41,9 @@ Status Replica::Replicate(const char* op, const std::vector<std::string>& jobs,
   }
   // Pre-state: rollback target if the entry fails to reach a quorum. A
   // blob-cache hit (the common case on the hot path) is the state as of
-  // the last appended entry, which is exactly the pre-state here — only a
-  // miss pays a serialization.
+  // the last appended entry, which is the logged pre-state here (only
+  // unlogged lease stamps may have moved since) — only a miss pays a
+  // serialization.
   std::vector<std::pair<std::string, std::string>> before;
   std::vector<uint64_t> before_refs;
   before.reserve(affected.size());
@@ -136,8 +137,8 @@ Status Replica::Replicate(const char* op, const std::vector<std::string>& jobs,
   group_->MaybeCompactLocked(index_, /*force=*/false);
   if (group_->MaybeCrashLocked(index_, CrashPoint::kLeaderAfterCommit)) {
     // The op IS committed; the caller sees a failure and retries, which is
-    // why retried mutations must be idempotent (leases) or deduplicated
-    // (Cas sessions).
+    // why retried mutations must be detectable (a re-create reports
+    // kAlreadyExists) or deduplicated (Cas sessions).
     return Unavailable("metadata leader crashed after commit");
   }
   return fn_st;

@@ -190,12 +190,17 @@ class Replica : public MetadataLog {
   uint64_t commit_index_ = 0;
   bool materialized_ = false;
   // Leader-side cache of each job's blob as of the last appended entry
-  // (guarded by the group mutex). Every metadata mutation flows through
-  // Replicate, so a cache hit IS the pre-state: the hot path serializes
-  // each affected job once (the post-state) instead of twice, and the
-  // cached copy doubles as the rollback image on lost quorum. Cleared on
-  // any transition that can change ctl_ outside Replicate (promotion,
-  // demotion, crash, truncation) — a miss just re-captures.
+  // (guarded by the group mutex). Every logged mutation flows through
+  // Replicate, so a cache hit is the logged pre-state: the hot path
+  // serializes each affected job once (the post-state) instead of twice,
+  // and the cached copy doubles as the rollback image on lost quorum.
+  // Lease renewals are served outside Replicate, so the cache lags the
+  // live lease stamps until the job's next logged op; a lost-quorum
+  // rollback may rewind those stamps, but only on a leader that demotes
+  // itself in the same step, and its successor restarts every lease
+  // (Controller::RestartLeases). Cleared on any transition that can change
+  // ctl_ outside Replicate (promotion, demotion, crash, truncation) — a
+  // miss just re-captures.
   std::map<std::string, std::string> leader_blob_cache_;
 
   // Lock-free flags for the read path.

@@ -1,7 +1,8 @@
 // Replicated control plane (DESIGN.md §14): leader election, quorum commit,
 // the controller-crash-at-every-point matrix, read-lease linearizability
-// with a partitioned leader, exactly-once Cas across failover, and
-// snapshot-as-log-compaction catch-up.
+// with a partitioned leader, leader-local lease renewals across failover,
+// exactly-once Cas across failover, and snapshot-as-log-compaction
+// catch-up.
 
 #include <gtest/gtest.h>
 
@@ -269,6 +270,72 @@ TEST(RsmFaultMatrixTest, NoQuorumFailsCleanAndRecovers) {
   group->Restart(leader);
   EXPECT_TRUE(client.GetLeaseDuration("/job/a").ok());
   EXPECT_TRUE(client.CreateAddrPrefix("/job/x", {"a"}).ok());
+}
+
+// Renewals are served leader-local and never logged. A renewal accepted by
+// a partitioned leader is lost with it; the promoted leader restarts every
+// lease where its own reads begin, so the lost renewal only delays
+// reclamation and never makes the data reclaimable sooner.
+TEST(RsmLeaseTest, RenewalOnDeposedLeaderOnlyDelaysReclamation) {
+  SimClock clock(1 * kSecond);
+  auto cluster = MakeReplicated(3, &clock);
+  rsm::ControllerGroup* group = cluster->controller_group(0);
+  JiffyClient client(cluster.get());
+  SeedJob(&client);
+  const JiffyConfig& cfg = cluster->config();
+  const int a = LeaderIndex(cluster.get());
+  rsm::Replica* rep_a = group->replica(a);
+  const uint64_t logged = rep_a->last_index();
+  ASSERT_TRUE(client.RenewLease("/job/a").ok());
+  EXPECT_EQ(rep_a->last_index(), logged);
+  // A still holds its read lease while cut off, so it accepts one more
+  // renewal that no other replica ever learns of.
+  group->Partition(a);
+  clock.AdvanceBy(cfg.rsm_read_lease / 4);
+  const TimeNs renewed_at = clock.Now();
+  ASSERT_TRUE(rep_a->controller()->RenewLease("job", "a").ok());
+  ASSERT_TRUE(group->EnsureLeader().ok());
+  const int b = group->leader_index();
+  ASSERT_GE(b, 0);
+  ASSERT_NE(b, a);
+  Controller* ctl_b = group->replica(b)->controller();
+  // Past the lost renewal's own deadline the prefix is still in memory...
+  clock.AdvanceTo(renewed_at + cfg.lease_duration + cfg.rsm_read_lease / 2);
+  EXPECT_EQ(rep_a->controller()->RenewLease("job", "a").status().code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(ctl_b->RunExpiryScan(), 0u);
+  auto expired = ctl_b->IsExpired("job", "a");
+  ASSERT_TRUE(expired.ok()) << expired.status().ToString();
+  EXPECT_FALSE(*expired);
+  // ...and once nobody renews, it is reclaimed after all.
+  clock.AdvanceBy(cfg.lease_duration + 2 * cfg.rsm_read_lease);
+  EXPECT_GT(ctl_b->RunExpiryScan(), 0u);
+  expired = ctl_b->IsExpired("job", "a");
+  ASSERT_TRUE(expired.ok()) << expired.status().ToString();
+  EXPECT_TRUE(*expired);
+}
+
+// A replica demoted in the middle of a call has dropped its jobs. It must
+// answer like any other non-leader, so the client re-resolves the leader
+// instead of reporting a registered job as missing.
+TEST(RsmLeaseTest, DemotedReplicaAnswersUnavailableNotNotFound) {
+  auto cluster = MakeReplicated(3);
+  rsm::ControllerGroup* group = cluster->controller_group(0);
+  JiffyClient client(cluster.get());
+  SeedJob(&client);
+  const int old_leader = LeaderIndex(cluster.get());
+  Controller* deposed = group->replica(old_leader)->controller();
+  group->Crash(old_leader);
+  EXPECT_EQ(deposed->IsExpired("job", "a").status().code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(deposed->RenewLease("job", "a").status().code(),
+            StatusCode::kUnavailable);
+  // The promoted leader still tells a genuinely unknown job apart.
+  Controller* promoted = group->LeaderController();
+  ASSERT_NE(promoted, deposed);
+  EXPECT_TRUE(promoted->RenewLease("job", "a").ok());
+  EXPECT_EQ(promoted->RenewLease("nojob", "a").status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST(RsmSnapshotTest, CompactionInstallsAndFollowerCatchesUp) {
