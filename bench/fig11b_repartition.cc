@@ -76,9 +76,7 @@ void RepartitionLatencyCdfs(int ops) {
   }
   // Scaling is asynchronous now: let the background worker finish before
   // reading the per-DS latency histograms.
-  if (cluster->repartitioner() != nullptr) {
-    cluster->repartitioner()->WaitIdle();
-  }
+  cluster->repartitioner()->WaitIdle();
 
   for (const char* prefix : {"q", "f", "kv"}) {
     auto state = cluster->registry()->Find("job", prefix);
@@ -150,13 +148,13 @@ void OpsDuringRepartitioning(int ops) {
 }
 
 // Concurrent single-op latency while a KV split of the *same block* is in
-// flight: inline blocking splits (background_repartition=false — the whole
-// half-block move happens under the block locks, stalling every concurrent
-// op on that block) vs the chunked background migration (bounded chunk
-// holds, locks released in between). Every round fills one fat block to
-// just under the high threshold, then a trigger put crosses it; reader
-// threads hammer keys in that block and record only the gets issued while
-// the split is running.
+// flight, as a chunk-size ablation of the background migration: one chunk
+// the size of the block ("blocking": the whole half-block copy happens in
+// one source-lock hold, stalling every concurrent op on that block) vs the
+// default chunk (bounded holds, the lock released in between). Every round
+// fills one fat block to just under the high threshold, then a trigger put
+// crosses it; reader threads hammer keys in that block and record only the
+// gets issued until the worker commits the split.
 struct SplitLoadResult {
   Histogram lat;
   size_t samples = 0;
@@ -164,12 +162,15 @@ struct SplitLoadResult {
   int rounds = 0;
 };
 
-void MeasureOpsDuringSplit(bool background, int rounds, SplitLoadResult* out) {
+constexpr size_t kSplitBlockBytes = 4 << 20;  // Fat block: the move is ~2 MB.
+
+void MeasureOpsDuringSplit(size_t chunk_bytes, int rounds,
+                           SplitLoadResult* out) {
   JiffyCluster::Options opts;
   opts.config.num_memory_servers = 4;
   opts.config.blocks_per_server = 128;
-  opts.config.block_size_bytes = 4 << 20;  // Fat block: the move is ~2 MB.
-  opts.config.background_repartition = background;
+  opts.config.block_size_bytes = kSplitBlockBytes;
+  opts.config.repartition_chunk_bytes = chunk_bytes;
   opts.config.lease_duration = 3600 * kSecond;
   opts.net_mode = Transport::Mode::kSleep;
   opts.net_model = NetworkModel::Ec2IntraDc();
@@ -208,22 +209,18 @@ void MeasureOpsDuringSplit(bool background, int rounds, SplitLoadResult* out) {
     }
     in_split.store(true, std::memory_order_release);
     (*kv)->Put("trigger", trigger_value);
-    if (background) {
-      // The split runs on the worker; the window closes when it commits.
-      const TimeNs deadline = clock->Now() + 3 * kSecond;
-      while (state != nullptr && state->splits.load() == 0 &&
-             clock->Now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
+    // The split runs on the worker; the window closes when it commits.
+    const TimeNs deadline = clock->Now() + 3 * kSecond;
+    while (state != nullptr && state->splits.load() == 0 &&
+           clock->Now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
     in_split.store(false, std::memory_order_release);
     done.store(true, std::memory_order_release);
     for (auto& t : readers) {
       t.join();
     }
-    if (cluster->repartitioner() != nullptr) {
-      cluster->repartitioner()->WaitIdle();
-    }
+    cluster->repartitioner()->WaitIdle();
     if (state != nullptr && state->splits.load() > 0) {
       out->rounds++;
       out->splits += state->splits.load();
@@ -235,7 +232,7 @@ void MeasureOpsDuringSplit(bool background, int rounds, SplitLoadResult* out) {
       }
     }
   }
-  if (background) {
+  if (chunk_bytes < kSplitBlockBytes) {
     PrintMetricsSnapshot("fig11b chunked-migration cluster",
                          cluster->MetricsSnapshot());
   }
@@ -246,8 +243,9 @@ void OpsDuringSplitBlockingVsChunked(int rounds) {
       "\nConcurrent get p99 on the splitting block: blocking vs chunked\n");
   SplitLoadResult blocking;
   SplitLoadResult chunked;
-  MeasureOpsDuringSplit(false, rounds, &blocking);
-  MeasureOpsDuringSplit(true, rounds, &chunked);
+  MeasureOpsDuringSplit(kSplitBlockBytes, rounds, &blocking);
+  MeasureOpsDuringSplit(JiffyConfig().repartition_chunk_bytes, rounds,
+                        &chunked);
   std::printf("%10s %8s %8s %10s %10s\n", "mode", "rounds", "samples",
               "p50(ms)", "p99(ms)");
   std::printf("%10s %8d %8zu %10.3f %10.3f\n", "blocking", blocking.rounds,
@@ -274,7 +272,7 @@ void OpsDuringSplitBlockingVsChunked(int rounds) {
       "    \"chunked\": {\"rounds\": %d, \"samples\": %zu, "
       "\"p50_ms\": %.3f, \"p99_ms\": %.3f, \"splits\": %llu},\n"
       "    \"p99_improvement\": %.1f\n  }\n}\n",
-      4 << 20, blocking.rounds, blocking.samples,
+      static_cast<int>(kSplitBlockBytes), blocking.rounds, blocking.samples,
       blocking.lat.Percentile(0.50) / 1e6, blocking.lat.Percentile(0.99) / 1e6,
       static_cast<unsigned long long>(blocking.splits), chunked.rounds,
       chunked.samples, chunked.lat.Percentile(0.50) / 1e6,

@@ -34,7 +34,6 @@ std::unique_ptr<JiffyCluster> MakeCluster(uint32_t controller_replicas) {
   opts.config.block_size_bytes = 64 << 10;
   opts.config.lease_duration = 3600 * kSecond;
   opts.config.controller_replicas = controller_replicas;
-  opts.config.background_repartition = false;
   opts.net_mode = Transport::Mode::kSleep;
   opts.net_model = NetworkModel::Ec2IntraDc();
   return std::make_unique<JiffyCluster>(opts);

@@ -149,6 +149,17 @@ Status DsClient::FailOver(const PartitionEntry& entry) {
   return RefreshMapInternal();
 }
 
+void DsClient::FlagPressure(Block* block, BlockId id, DsType type,
+                            Repartitioner::Pressure pressure) {
+  Repartitioner::Hint hint;
+  hint.job = job_;
+  hint.prefix = prefix_;
+  hint.block = id;
+  hint.type = type;
+  hint.pressure = pressure;
+  cluster_->repartitioner()->Flag(block, std::move(hint));
+}
+
 void DsClient::MaybePersist(const PartitionEntry& entry) {
   {
     std::lock_guard<std::mutex> lock(map_mu_);

@@ -147,8 +147,13 @@ class DsClient {
   Clock* clock() { return cluster_->clock(); }
   DsState* state() { return state_.get(); }
   PersistentStore* backing() { return cluster_->backing(); }
-  // Null when background repartitioning is disabled (inline fallback).
-  Repartitioner* repartitioner() { return cluster_->repartitioner(); }
+
+  // Hands a pressure hint for `block` (mapped as `id`) to the cluster's
+  // background repartitioner (DESIGN.md §9), which re-validates it before
+  // acting. Deduped per block: only the first flag until the worker drains
+  // it enqueues a hint.
+  void FlagPressure(Block* block, BlockId id, DsType type,
+                    Repartitioner::Pressure pressure);
 
   // --- Chain replication (§4.2.2) -------------------------------------------
 
@@ -223,8 +228,9 @@ class DsClient {
   mutable std::mutex map_mu_;
   PartitionMap map_;
 
-  // Bounded retries for stale-metadata loops; exceeding this indicates a
-  // livelock bug rather than routine scaling.
+  // Bounded retries for the queue, file and custom clients' stale-metadata
+  // loops; exceeding this indicates a livelock bug rather than routine
+  // scaling. KvClient bounds its retries by the retry policy's op_deadline.
   static constexpr int kMaxStaleRetries = 64;
 
   // Progressive backoff between stale retries. Retries typically wait for

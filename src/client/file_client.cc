@@ -108,10 +108,11 @@ Result<uint64_t> FileClient::Append(std::string_view data) {
             chunk->Cap();
             grow = true;
           } else if (usage >= config().repartition_high_threshold) {
-            // Early allocation at the high threshold (Fig 14(c)). With a
-            // background worker the chunk stays open (writes keep landing)
-            // and the worker caps + grows off the critical path.
-            if (repartitioner() != nullptr && tail.replicas.empty()) {
+            // Early allocation at the high threshold (Fig 14(c)): the chunk
+            // stays open (writes keep landing) and the background worker
+            // caps + grows off the critical path. Replicated prefixes do
+            // not repartition in the background and cap inline.
+            if (tail.replicas.empty()) {
               flag_bg = true;
             } else {
               chunk->Cap();
@@ -149,13 +150,8 @@ Result<uint64_t> FileClient::Append(std::string_view data) {
     if (grow) {
       JIFFY_RETURN_IF_ERROR(GrowTail(tail.block, tail.lo, end_offset));
     } else if (flag_bg) {
-      Repartitioner::Hint hint;
-      hint.job = job();
-      hint.prefix = prefix();
-      hint.block = tail.block;
-      hint.type = DsType::kFile;
-      hint.pressure = Repartitioner::Pressure::kOverload;
-      repartitioner()->Flag(block, std::move(hint));
+      FlagPressure(block, tail.block, DsType::kFile,
+                   Repartitioner::Pressure::kOverload);
     }
     if (remaining.empty()) {
       op.Success();
@@ -247,7 +243,7 @@ Result<uint64_t> FileClient::AppendVec(
             chunk->Cap();
             grow = true;
           } else if (usage >= config().repartition_high_threshold) {
-            if (repartitioner() != nullptr && tail.replicas.empty()) {
+            if (tail.replicas.empty()) {
               flag_bg = true;  // Cap + grow happen off the critical path.
             } else {
               chunk->Cap();
@@ -308,13 +304,8 @@ Result<uint64_t> FileClient::AppendVec(
     if (grow) {
       JIFFY_RETURN_IF_ERROR(GrowTail(tail.block, tail.lo, end_offset));
     } else if (flag_bg) {
-      Repartitioner::Hint hint;
-      hint.job = job();
-      hint.prefix = prefix();
-      hint.block = tail.block;
-      hint.type = DsType::kFile;
-      hint.pressure = Repartitioner::Pressure::kOverload;
-      repartitioner()->Flag(block, std::move(hint));
+      FlagPressure(block, tail.block, DsType::kFile,
+                   Repartitioner::Pressure::kOverload);
     }
     // Skip any empty (or now-exhausted) pieces at the cursor.
     while (piece_idx < pieces.size() &&

@@ -3,11 +3,12 @@
 // Keys hash to one of H slots; each block owns a contiguous slot range and
 // stores pairs in a cuckoo hash map. The client routes get/put/delete by key
 // hash through its cached partition map. When a put drives a block past the
-// high usage threshold, the client (acting as the overloaded block's
-// repartition handler, Fig 8) splits the upper half of the slot range onto a
+// high usage threshold, the client flags it to the cluster's background
+// repartitioner, which splits the upper half of the slot range onto a
 // freshly allocated block and moves the affected pairs inside the store —
-// the task never reads the data back (partition-function shipping, §3.3).
-// Deletes that leave a block nearly empty trigger the symmetric merge.
+// the task never reads the data back (partition-function shipping, §3.3;
+// DESIGN.md §9). Deletes that leave a block nearly empty flag the
+// symmetric merge.
 
 #ifndef SRC_CLIENT_KV_CLIENT_H_
 #define SRC_CLIENT_KV_CLIENT_H_
@@ -96,18 +97,59 @@ class KvClient : public DsClient {
   // stale).
   bool RouteSlot(uint32_t slot, PartitionEntry* out) const;
 
-  // Overload/underload dispatch: hands the pressure hint to the background
-  // repartitioner when one is running (DESIGN.md §9), else falls back to the
-  // legacy inline split/merge on this thread.
-  void SignalOverload(Block* block, const PartitionEntry& entry);
-  void SignalUnderload(Block* block, const PartitionEntry& entry);
+  // The two engines every KV op runs on, in the shape of an Execute<Op>: an
+  // engine opens the op's client span and SLO scope, routes, holds the
+  // block, retries, and decides whether the op succeeded; the op supplies
+  // its operator under the hold and its post-step (exchange, replica
+  // propagation, persist, publish, pressure flag). A stale answer
+  // (kStaleMetadata, or the block's content gone) refreshes the map and
+  // retries; a dead block fails over. An op gives up with kUnavailable once
+  // its retry policy's op_deadline has passed since its first retry, which
+  // lets a reader wait out a split whose shards flipped before the
+  // controller published the map (DESIGN.md §9, phase 6).
+  struct OpSpec {
+    const char* span;       // Client span; also names the op in its errors.
+    const char* hold_span;  // Span around the operator under the block lock.
+    bool read = false;      // Served by the chain tail (§4.2.2), not primary.
+    bool misses_ok = false;  // Batch: kNotFound items still count as success.
+  };
 
-  // Splits `entry`'s block: upper half of its slots move to a new block.
-  // Inline (blocking) path — the data move happens under both block locks.
-  Status TrySplit(const PartitionEntry& entry);
+  // Single-key engine: `apply(block, shard) -> Status` runs under the hold.
+  // A write whose operator failed returns that status before any exchange;
+  // otherwise `post(entry, block, status)` returns the op's result (a
+  // success when ok or kNotFound), or nullopt to execute the op again.
+  template <typename R, typename Apply, typename Post>
+  R ExecuteKey(const OpSpec& spec, std::string_view key, Apply&& apply,
+               Post&& post);
 
-  // Merges `entry`'s block into an adjacent block when both fit.
-  Status TryMerge(const PartitionEntry& entry);
+  // Group engine: groups the operands (keys, or key/value pairs) by map
+  // entry; `apply(shard, ops, &items)` fills one outcome per operand under
+  // the group's hold, then `post(entry, block, group, req_bytes, items)`
+  // issues the group's exchange and returns its status. Stale items are
+  // re-sent; the rest get their outcome, or the failed exchange's status —
+  // which a write's stale items get too, while a read re-sends them.
+  template <typename Operand, typename Item, typename Apply, typename Post>
+  void ExecuteGroups(const OpSpec& spec, const std::vector<Operand>& operands,
+                     std::vector<Item>* results, Apply&& apply, Post&& post);
+
+  // Post-step of the batched writes after their exchange: sends the items
+  // the shard applied down the chain (`replay(shard, operand)`, one hop per
+  // replica), persists and publishes them. False when none was applied.
+  template <typename Operand, typename Replay>
+  bool ReplayApplied(const PartitionEntry& entry,
+                     const std::vector<Operand>& operands,
+                     const std::vector<size_t>& group,
+                     const std::vector<Status>& items, const char* publish_op,
+                     Replay&& replay);
+
+  // Flag `entry`'s block to the background repartitioner (DESIGN.md §9)
+  // when a write left it at or over the high threshold with more than one
+  // slot, or a delete left it at or under the low one with a sibling to
+  // merge into. Replicated prefixes never repartition.
+  void MaybeFlagOverload(Block* block, const PartitionEntry& entry,
+                         double usage, uint32_t slot_span);
+  void MaybeFlagUnderload(Block* block, const PartitionEntry& entry,
+                          double usage);
 };
 
 }  // namespace jiffy

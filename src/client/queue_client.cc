@@ -17,22 +17,6 @@ void QueueClient::SetMaxQueueLength(uint64_t n) {
   state()->max_queue_length.store(n);
 }
 
-bool QueueClient::FlagPressure(Block* block, BlockId id,
-                               Repartitioner::Pressure p) {
-  Repartitioner* rp = repartitioner();
-  if (rp == nullptr) {
-    return false;
-  }
-  Repartitioner::Hint hint;
-  hint.job = job();
-  hint.prefix = prefix();
-  hint.block = id;
-  hint.type = DsType::kQueue;
-  hint.pressure = p;
-  rp->Flag(block, std::move(hint));
-  return true;
-}
-
 Status QueueClient::GrowTail(BlockId tail_block, uint64_t last_index) {
   bool expected = false;
   if (!state()->scaling_in_progress.compare_exchange_strong(expected, true)) {
@@ -139,7 +123,8 @@ Status QueueClient::Enqueue(std::string_view item) {
           tail.replicas.empty()) {
         // Proactive growth: ask the background worker to seal this tail and
         // append a fresh one before producers hit the overflow path.
-        FlagPressure(block, tail.block, Repartitioner::Pressure::kOverload);
+        FlagPressure(block, tail.block, DsType::kQueue,
+                     Repartitioner::Pressure::kOverload);
       }
       op.Success();
       return Status::Ok();
@@ -245,7 +230,8 @@ Status QueueClient::EnqueueBatch(const std::vector<std::string_view>& items) {
           tail.replicas.empty()) {
         // Whole batch landed but the tail is nearly full — grow it in the
         // background before the next producer overflows.
-        FlagPressure(block, tail.block, Repartitioner::Pressure::kOverload);
+        FlagPressure(block, tail.block, DsType::kQueue,
+                     Repartitioner::Pressure::kOverload);
       }
     }
     if (done < items.size()) {
@@ -336,14 +322,14 @@ Result<std::string> QueueClient::Dequeue() {
       }
       if (drained && !head_is_tail) {
         // The dequeue itself succeeded; reclaiming the drained head is pure
-        // cleanup, so hand it to the background worker when one is running.
-        if (head.replicas.empty() &&
-            FlagPressure(block, head.block,
-                         Repartitioner::Pressure::kUnderload)) {
-          op.Success();
-          return item;
+        // cleanup, so the background worker does it. Replicated prefixes do
+        // not repartition in the background and shrink inline.
+        if (head.replicas.empty()) {
+          FlagPressure(block, head.block, DsType::kQueue,
+                       Repartitioner::Pressure::kUnderload);
+        } else {
+          JIFFY_RETURN_IF_ERROR(ShrinkHead(head.block));
         }
-        JIFFY_RETURN_IF_ERROR(ShrinkHead(head.block));
       }
       op.Success();
       return item;

@@ -71,9 +71,6 @@ class QueueClient : public DsClient {
   Status GrowTail(BlockId tail_block, uint64_t last_index);
   // Frees the drained head segment.
   Status ShrinkHead(BlockId head_block);
-  // Hands a pressure hint for `block` to the background repartitioner.
-  // Returns false when there is none (caller falls back to the inline path).
-  bool FlagPressure(Block* block, BlockId id, Repartitioner::Pressure p);
 };
 
 }  // namespace jiffy

@@ -41,7 +41,10 @@ struct RetryPolicy {
   double jitter_fraction = 0.5;
   // Per-operation wall budget; 0 = unbounded. Checked against the clock the
   // transport charges (virtual clocks never advance in kZero mode, so there
-  // the attempts cap is the binding brake).
+  // the attempts cap is the binding brake). KvClient also bounds a whole
+  // op's retries (stale answers, failovers, lost read replies) by it,
+  // measured on RealClock from the op's first retry: a reader waits out a
+  // split whose map publish is still pending (DESIGN.md §9).
   DurationNs op_deadline = 500 * kMillisecond;
 
   static bool IsRetryable(StatusCode code) {

@@ -63,29 +63,25 @@ JiffyCluster::JiffyCluster(const Options& options)
   m_restore_blocks_ = metrics_.GetCounter("cluster.restore_blocks_total");
   m_reset_blocks_ = metrics_.GetCounter("cluster.reset_blocks_total");
 
-  if (config_.background_repartition) {
-    Repartitioner::Hooks hooks;
-    hooks.resolve = [this](BlockId id) { return ResolveBlock(id); };
-    hooks.controller = [this](const std::string& job) {
-      return ControllerFor(job);
-    };
-    hooks.ds_state = [this](const std::string& job, const std::string& prefix) {
-      return registry_.GetOrCreate(job, prefix);
-    };
-    repartitioner_ = std::make_unique<Repartitioner>(
-        config_, clock_, std::move(hooks), control_transport_.get(),
-        data_transport_.get());
-    repartitioner_->BindMetrics(&metrics_);
-    repartitioner_->Start();
-  }
+  Repartitioner::Hooks hooks;
+  hooks.resolve = [this](BlockId id) { return ResolveBlock(id); };
+  hooks.controller = [this](const std::string& job) {
+    return ControllerFor(job);
+  };
+  hooks.ds_state = [this](const std::string& job, const std::string& prefix) {
+    return registry_.GetOrCreate(job, prefix);
+  };
+  repartitioner_ = std::make_unique<Repartitioner>(
+      config_, clock_, std::move(hooks), control_transport_.get(),
+      data_transport_.get());
+  repartitioner_->BindMetrics(&metrics_);
+  repartitioner_->Start();
 }
 
 JiffyCluster::~JiffyCluster() {
   // The worker thread reaches into servers/controllers through the hooks;
   // stop it before anything else is torn down.
-  if (repartitioner_ != nullptr) {
-    repartitioner_->Stop();
-  }
+  repartitioner_->Stop();
 }
 
 Controller* JiffyCluster::controller_shard(uint32_t i) {

@@ -89,9 +89,9 @@ class JiffyCluster : public DataPlaneHooks {
   Transport* control_transport() { return control_transport_.get(); }
   Transport* data_transport() { return data_transport_.get(); }
 
-  // Background repartition worker (DESIGN.md §9). Null when
-  // config.background_repartition is false — clients then fall back to the
-  // legacy inline split/merge paths.
+  // Background repartition worker (DESIGN.md §9), the only mechanism that
+  // splits and merges KV blocks. Never null: built and started with the
+  // cluster, stopped first on destruction.
   Repartitioner* repartitioner() { return repartitioner_.get(); }
 
   // --- Observability --------------------------------------------------------

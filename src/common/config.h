@@ -49,13 +49,6 @@ struct JiffyConfig {
   // owned by one block.
   uint32_t kv_hash_slots = 1024;
 
-  // When true (default), data-path ops that observe usage beyond the
-  // repartition thresholds only flag the block; a per-cluster background
-  // worker drains the flags and drives chunked splits/merges off the
-  // critical path (§3.3 made incremental; DESIGN.md §9). When false, the
-  // triggering client performs the legacy stop-the-world split/merge inline.
-  bool background_repartition = true;
-
   // Maximum bytes moved per chunk during a chunked migration. The per-chunk
   // lock hold — the only window concurrent ops wait on — is bounded by this.
   size_t repartition_chunk_bytes = 64 << 10;

@@ -773,12 +773,10 @@ Result<BlockId> Controller::AllocateUnmapped(const std::string& job,
 Status Controller::CommitSplit(const std::string& job,
                                const std::string& prefix, BlockId old_block,
                                uint64_t old_lo, uint64_t old_hi,
-                               const PartitionEntry& new_entry,
-                               bool require_migrating) {
+                               const PartitionEntry& new_entry) {
   if (ShouldReplicate()) {
     return ReplicateOp("CommitSplit", {job}, [&] {
-      return CommitSplit(job, prefix, old_block, old_lo, old_hi, new_entry,
-                         require_migrating);
+      return CommitSplit(job, prefix, old_block, old_lo, old_hi, new_entry);
     });
   }
   JIFFY_TRACE_SPAN("ctl.commit_split", "control");
@@ -788,7 +786,7 @@ Status Controller::CommitSplit(const std::string& job,
   bool found = false;
   for (auto& entry : node->partition.entries) {
     if (entry.block == old_block) {
-      if (require_migrating && !entry.migrating) {
+      if (!entry.migrating) {
         // The BeginMigration bracket is gone (cleared by a failover repair
         // or never replayed on this controller): refuse to publish — the
         // caller un-flips the moved pairs back into the source instead.
@@ -817,11 +815,10 @@ Status Controller::CommitSplit(const std::string& job,
 Status Controller::CommitMerge(const std::string& job,
                                const std::string& prefix, BlockId removed,
                                BlockId sibling, uint64_t sib_lo,
-                               uint64_t sib_hi, bool require_migrating) {
+                               uint64_t sib_hi) {
   if (ShouldReplicate()) {
     return ReplicateOp("CommitMerge", {job}, [&] {
-      return CommitMerge(job, prefix, removed, sibling, sib_lo, sib_hi,
-                         require_migrating);
+      return CommitMerge(job, prefix, removed, sibling, sib_lo, sib_hi);
     });
   }
   JIFFY_TRACE_SPAN("ctl.commit_merge", "control");
@@ -835,7 +832,7 @@ Status Controller::CommitMerge(const std::string& job,
     return NotFound("merge source block " + removed.ToString() +
                     " is not mapped under '" + prefix + "'");
   }
-  if (require_migrating && !rit->migrating) {
+  if (!rit->migrating) {
     return FailedPrecondition("merge source block " + removed.ToString() +
                               " lost its migration bracket");
   }
@@ -1319,8 +1316,8 @@ void Controller::SerializeJobLocked(const JobHierarchy& hier,
     PutU64(blob, node->partition.version);
     PutU32(blob, static_cast<uint32_t>(node->partition.type));
     PutString(blob, node->partition.custom_type);
-    // v3: the queue head index (pre-v3 snapshots silently reset it, which
-    // made a promoted standby re-serve drained queue segments).
+    // v3: the queue head index (a promoted standby that reset it would
+    // re-serve drained queue segments).
     PutU32(blob, node->partition.queue_head);
     PutU32(blob, static_cast<uint32_t>(node->partition.entries.size()));
     for (const auto& entry : node->partition.entries) {
@@ -1348,7 +1345,7 @@ void Controller::SerializeJobLocked(const JobHierarchy& hier,
 }
 
 Result<std::shared_ptr<Controller::JobSlot>> Controller::ParseJobSection(
-    SerdeReader* reader, uint32_t version, bool preserve_migrating) const {
+    SerdeReader* reader, bool preserve_migrating) const {
   JIFFY_ASSIGN_OR_RETURN(std::string job_id, reader->ReadString());
   auto slot = std::make_shared<JobSlot>(job_id, clock_->Now(),
                                         config_.lease_duration,
@@ -1384,21 +1381,17 @@ Result<std::shared_ptr<Controller::JobSlot>> Controller::ParseJobSection(
     JIFFY_ASSIGN_OR_RETURN(rec.flags, reader->ReadU32());
     JIFFY_ASSIGN_OR_RETURN(rec.replication, reader->ReadU32());
     JIFFY_ASSIGN_OR_RETURN(rec.owner, reader->ReadString());
-    if (version >= 3) {
-      JIFFY_ASSIGN_OR_RETURN(uint32_t num_tags, reader->ReadU32());
-      for (uint32_t t = 0; t < num_tags; ++t) {
-        JIFFY_ASSIGN_OR_RETURN(std::string k, reader->ReadString());
-        JIFFY_ASSIGN_OR_RETURN(std::string v, reader->ReadString());
-        rec.tags.emplace(std::move(k), std::move(v));
-      }
+    JIFFY_ASSIGN_OR_RETURN(uint32_t num_tags, reader->ReadU32());
+    for (uint32_t t = 0; t < num_tags; ++t) {
+      JIFFY_ASSIGN_OR_RETURN(std::string k, reader->ReadString());
+      JIFFY_ASSIGN_OR_RETURN(std::string v, reader->ReadString());
+      rec.tags.emplace(std::move(k), std::move(v));
     }
     JIFFY_ASSIGN_OR_RETURN(rec.partition.version, reader->ReadU64());
     JIFFY_ASSIGN_OR_RETURN(uint32_t type, reader->ReadU32());
     rec.partition.type = static_cast<DsType>(type);
     JIFFY_ASSIGN_OR_RETURN(rec.partition.custom_type, reader->ReadString());
-    if (version >= 3) {
-      JIFFY_ASSIGN_OR_RETURN(rec.partition.queue_head, reader->ReadU32());
-    }
+    JIFFY_ASSIGN_OR_RETURN(rec.partition.queue_head, reader->ReadU32());
     rec.partition.persist_writes = (rec.flags & 4u) != 0;
     JIFFY_ASSIGN_OR_RETURN(uint32_t num_entries, reader->ReadU32());
     for (uint32_t e = 0; e < num_entries; ++e) {
@@ -1412,11 +1405,9 @@ Result<std::shared_ptr<Controller::JobSlot>> Controller::ParseJobSection(
         JIFFY_ASSIGN_OR_RETURN(uint64_t rpacked, reader->ReadU64());
         entry.replicas.push_back(BlockId::FromPacked(rpacked));
       }
-      if (version >= 2) {
-        JIFFY_ASSIGN_OR_RETURN(uint32_t entry_flags, reader->ReadU32());
-        entry.lost = (entry_flags & 1u) != 0;
-        entry.migrating = preserve_migrating && (entry_flags & 2u) != 0;
-      }
+      JIFFY_ASSIGN_OR_RETURN(uint32_t entry_flags, reader->ReadU32());
+      entry.lost = (entry_flags & 1u) != 0;
+      entry.migrating = preserve_migrating && (entry_flags & 2u) != 0;
       rec.partition.entries.push_back(std::move(entry));
     }
     recs.push_back(std::move(rec));
@@ -1442,18 +1433,16 @@ Result<std::shared_ptr<Controller::JobSlot>> Controller::ParseJobSection(
     node->tags = std::move(rec.tags);
     node->partition = std::move(rec.partition);
   }
-  if (version >= 3) {
-    auto& sessions = hier->cas_sessions();
-    JIFFY_ASSIGN_OR_RETURN(uint32_t num_sessions, reader->ReadU32());
-    for (uint32_t s = 0; s < num_sessions; ++s) {
-      JIFFY_ASSIGN_OR_RETURN(std::string client, reader->ReadString());
-      CasSession session;
-      JIFFY_ASSIGN_OR_RETURN(session.seq, reader->ReadU64());
-      JIFFY_ASSIGN_OR_RETURN(session.previous, reader->ReadString());
-      JIFFY_ASSIGN_OR_RETURN(uint32_t applied, reader->ReadU32());
-      session.applied = applied != 0;
-      sessions.emplace(std::move(client), std::move(session));
-    }
+  auto& sessions = hier->cas_sessions();
+  JIFFY_ASSIGN_OR_RETURN(uint32_t num_sessions, reader->ReadU32());
+  for (uint32_t s = 0; s < num_sessions; ++s) {
+    JIFFY_ASSIGN_OR_RETURN(std::string client, reader->ReadString());
+    CasSession session;
+    JIFFY_ASSIGN_OR_RETURN(session.seq, reader->ReadU64());
+    JIFFY_ASSIGN_OR_RETURN(session.previous, reader->ReadString());
+    JIFFY_ASSIGN_OR_RETURN(uint32_t applied, reader->ReadU32());
+    session.applied = applied != 0;
+    sessions.emplace(std::move(client), std::move(session));
   }
   // Whatever replaced this hierarchy, any renewal plan memoized against the
   // previous one is dead (stale TaskNode pointers, possibly stale blocks).
@@ -1493,7 +1482,7 @@ std::string Controller::Snapshot(uint64_t applied_index) const {
 uint64_t Controller::SnapshotAppliedIndex(const std::string& snapshot) {
   SerdeReader reader(snapshot);
   auto version = reader.ReadU32();
-  if (!version.ok() || *version < 3) {
+  if (!version.ok() || *version != 3) {
     return 0;
   }
   auto applied = reader.ReadU64();
@@ -1509,18 +1498,16 @@ Status Controller::Restore(const std::string& snapshot,
   }
   SerdeReader reader(snapshot);
   JIFFY_ASSIGN_OR_RETURN(uint32_t version, reader.ReadU32());
-  if (version < 1 || version > 3) {
-    return InvalidArgument("unknown snapshot version " +
+  if (version != 3) {
+    // Snapshots live only in memory, and only v3 is ever written.
+    return InvalidArgument("unsupported snapshot version " +
                            std::to_string(version));
   }
-  if (version >= 3) {
-    JIFFY_RETURN_IF_ERROR(reader.ReadU64().status());  // applied_index stamp
-  }
+  JIFFY_RETURN_IF_ERROR(reader.ReadU64().status());  // applied_index stamp
   JIFFY_ASSIGN_OR_RETURN(uint32_t num_jobs, reader.ReadU32());
   for (uint32_t j = 0; j < num_jobs; ++j) {
-    JIFFY_ASSIGN_OR_RETURN(
-        std::shared_ptr<JobSlot> slot,
-        ParseJobSection(&reader, version, preserve_migrating));
+    JIFFY_ASSIGN_OR_RETURN(std::shared_ptr<JobSlot> slot,
+                           ParseJobSection(&reader, preserve_migrating));
     const std::string job_id = slot->hier.job_id();
     jobs_.emplace(job_id, std::move(slot));
   }
@@ -1543,7 +1530,7 @@ Status Controller::InstallJobBlob(const std::string& job,
   if (!blob.empty()) {
     SerdeReader reader(blob);
     JIFFY_ASSIGN_OR_RETURN(
-        fresh, ParseJobSection(&reader, 3, /*preserve_migrating=*/true));
+        fresh, ParseJobSection(&reader, /*preserve_migrating=*/true));
     if (fresh->hier.job_id() != job) {
       return InvalidArgument("job blob for '" + fresh->hier.job_id() +
                              "' installed under '" + job + "'");

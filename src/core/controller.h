@@ -236,22 +236,19 @@ class Controller {
                                    const std::string& prefix, uint64_t lo,
                                    uint64_t hi);
   // Atomically shrinks `old_block`'s range to [old_lo, old_hi) and maps
-  // `new_entry`. With `require_migrating`, fails with kFailedPrecondition
-  // unless the source entry is still inside a BeginMigration bracket — the
-  // background Repartitioner passes true so a commit that raced a failover
-  // repair (which may have cleared or never seen the bracket) is refused
-  // instead of publishing a stale range. The legacy inline split path has
-  // no bracket and keeps the default.
+  // `new_entry`. Fails with kFailedPrecondition unless the source entry is
+  // still inside a BeginMigration bracket, so a commit that raced a
+  // failover repair (which may have cleared or never seen the bracket) is
+  // refused instead of publishing a stale range.
   Status CommitSplit(const std::string& job, const std::string& prefix,
                      BlockId old_block, uint64_t old_lo, uint64_t old_hi,
-                     const PartitionEntry& new_entry,
-                     bool require_migrating = false);
+                     const PartitionEntry& new_entry);
   // Atomically unmaps `removed` (resetting + freeing it) and extends
-  // `sibling` to [sib_lo, sib_hi). `require_migrating` as in CommitSplit
-  // (the bracket sits on the `removed` source entry).
+  // `sibling` to [sib_lo, sib_hi). Requires the bracket on the `removed`
+  // source entry, as CommitSplit does.
   Status CommitMerge(const std::string& job, const std::string& prefix,
                      BlockId removed, BlockId sibling, uint64_t sib_lo,
-                     uint64_t sib_hi, bool require_migrating = false);
+                     uint64_t sib_hi);
   // Releases a block obtained via AllocateUnmapped when the move fails.
   Status AbortUnmapped(BlockId block);
 
@@ -371,18 +368,19 @@ class Controller {
   // v3 header). The plain Snapshot() stamps 0 ("no log attached").
   std::string Snapshot(uint64_t applied_index) const;
 
-  // Peeks the applied-index stamp of a v3 snapshot (0 for v1/v2/garbage).
+  // Peeks the applied-index stamp of a v3 snapshot (0 for any other bytes).
   static uint64_t SnapshotAppliedIndex(const std::string& snapshot);
 
   // Rebuilds state from a snapshot. Precondition: no jobs registered yet
-  // (fresh standby). Does not touch the data plane. `preserve_migrating`
-  // keeps serialized in-flight migration brackets (v3) — the RSM
-  // materialization path passes true because the shared Repartitioner
-  // survives a leader change and will complete or abort the move against
-  // the promoted controller; a cold standby keeps the default false, which
-  // drops the brackets (its Repartitioner is gone, the source still owns
-  // all data) so expiry/flush can never be blocked forever. All memoized
-  // renewal fan-out plans are invalidated either way.
+  // (fresh standby). Snapshots live only in memory and only format v3 is
+  // written, so any other version fails with kInvalidArgument. Does not
+  // touch the data plane. `preserve_migrating` keeps serialized in-flight
+  // migration brackets — the RSM materialization path passes true because
+  // the shared Repartitioner survives a leader change and will complete or
+  // abort the move against the promoted controller; a cold standby keeps
+  // the default false, which drops the brackets (its Repartitioner is gone,
+  // the source still owns all data) so expiry/flush can never be blocked
+  // forever. All memoized renewal fan-out plans are invalidated either way.
   Status Restore(const std::string& snapshot, bool preserve_migrating = false);
 
   // --- Replicated-log integration (src/rsm/, DESIGN.md §14) -----------------
@@ -597,10 +595,10 @@ class Controller {
   // (job mutex held by the caller).
   static void SerializeJobLocked(const JobHierarchy& hier, std::string* blob);
 
-  // Parses one per-job snapshot section of `version` (job id first) into a
-  // fresh JobSlot. `preserve_migrating` keeps v3 migration brackets.
+  // Parses one v3 per-job snapshot section (job id first) into a fresh
+  // JobSlot. `preserve_migrating` keeps migration brackets.
   Result<std::shared_ptr<JobSlot>> ParseJobSection(
-      SerdeReader* reader, uint32_t version, bool preserve_migrating) const;
+      SerdeReader* reader, bool preserve_migrating) const;
 
   std::string OwnerTag(const std::string& job, const std::string& prefix) const {
     return job + "/" + prefix;

@@ -150,9 +150,9 @@ void Repartitioner::Process(const Hint& hint) {
   std::shared_ptr<DsState> state = hooks_.ds_state(hint.job, hint.prefix);
   bool acted = false;
   if (ctl != nullptr && state != nullptr) {
-    // Same per-DS scaling guard the inline paths use: losing the race to a
-    // client-side grow just drops the hint — traffic re-flags if pressure
-    // persists.
+    // Same per-DS scaling guard the inline tail/head paths use: losing the
+    // race to a client-side grow just drops the hint — traffic re-flags if
+    // pressure persists.
     bool expected = false;
     if (state->scaling_in_progress.compare_exchange_strong(expected, true)) {
       switch (hint.type) {
@@ -259,12 +259,10 @@ bool Repartitioner::HandleKvOverload(const Hint& hint, Controller* ctl,
         fresh.lo = mid;
         fresh.hi = hi;
         // Commit against the controller that owns the job *now* (a failover
-        // may have promoted a standby since the hint was dequeued), and
-        // require the migration bracket to still be present — a promoted
-        // controller that lost or cleared it must refuse the commit.
+        // may have promoted a standby since the hint was dequeued); the
+        // commit refuses if that controller lost or cleared the bracket.
         return CurrentController(hint, ctl)
-            ->CommitSplit(hint.job, hint.prefix, hint.block, lo, mid, fresh,
-                          /*require_migrating=*/true);
+            ->CommitSplit(hint.job, hint.prefix, hint.block, lo, mid, fresh);
       });
   if (!st.ok()) {
     JIFFY_LOG(WARNING) << "background KV split aborted for " << hint.job << "/"
@@ -311,8 +309,7 @@ bool Repartitioner::HandleKvUnderload(const Hint& hint, Controller* ctl,
     }
     src_used = shard->used_bytes();
   }
-  // Slot-adjacent sibling with the most headroom (same policy as the legacy
-  // inline merge).
+  // Slot-adjacent sibling with the most headroom.
   const PartitionEntry* sibling = nullptr;
   size_t sibling_used = 0;
   for (const PartitionEntry& e : map_r->entries) {
@@ -357,7 +354,7 @@ bool Repartitioner::HandleKvUnderload(const Hint& hint, Controller* ctl,
         // See the split commit lambda: current controller + bracket check.
         return CurrentController(hint, ctl)
             ->CommitMerge(hint.job, hint.prefix, hint.block, sibling_id,
-                          new_lo, new_hi, /*require_migrating=*/true);
+                          new_lo, new_hi);
       });
   if (!st.ok()) {
     JIFFY_LOG(WARNING) << "background KV merge aborted for " << hint.job << "/"
@@ -509,8 +506,9 @@ Status Repartitioner::MigrateKvRange(const Hint& hint, Controller* ctl,
   // the migrating range block for more than one chunk. Both block locks,
   // ascending id order (the documented rule). The residual delta moves and
   // ownership flips at the content level; CommitSplit/CommitMerge publish it
-  // in the map right after the locks drop (the gap yields bounded
-  // kStaleMetadata retries, identical to the legacy blocking path).
+  // in the map right after the locks drop. A reader in that gap gets
+  // kStaleMetadata and keeps refreshing until the publish lands, for up to
+  // its retry policy's op_deadline.
   Status st = Status::Ok();
   size_t catchup_pairs = 0;
   const TimeNs hold_start = clock_->Now();
@@ -563,12 +561,12 @@ Status Repartitioner::MigrateKvRange(const Hint& hint, Controller* ctl,
   const Status cst = commit();
   if (!cst.ok()) {
     // Commit refused: the job/prefix vanished (deregistration race), or a
-    // promoted controller no longer carries the migration bracket
-    // (require_migrating). The content already flipped in phase 4, so move
-    // the range's pairs *back* into the source before unwinding — if the
-    // job still exists, its authoritative map names the source for this
-    // range, and leaving the pairs in an unmapped (about-to-be-freed) or
-    // foreign destination would lose them.
+    // promoted controller no longer carries the migration bracket. The
+    // content already flipped in phase 4, so move the range's pairs *back*
+    // into the source before unwinding — if the job still exists, its
+    // authoritative map names the source for this range, and leaving the
+    // pairs in an unmapped (about-to-be-freed) or foreign destination would
+    // lose them.
     UnflipKvRange(src, dest, from_slot, end_slot);
     Controller* cur = CurrentController(hint, ctl);
     if (dest_unmapped) {

@@ -121,7 +121,8 @@ class Repartitioner {
   void Process(const Hint& hint);
 
   // Models the control-plane cost of one repartition event (§6.3), same as
-  // the clients' inline path: connection setup + two control round trips.
+  // the clients' inline tail/head growth: connection setup + two control
+  // round trips.
   void ChargeControl();
 
   // Per-structure handlers. Each returns true when it performed a scaling

@@ -28,7 +28,8 @@ struct DsState {
   std::atomic<int64_t> queue_items{0};
   std::atomic<uint64_t> max_queue_length{0};  // 0 = unbounded.
 
-  // Guards split/merge so only one client repartitions a DS at a time;
+  // Guards scaling so only one actor (the background repartitioner or a
+  // client growing a file/queue tail inline) scales a DS at a time;
   // competing triggers simply retry on a later operation.
   std::atomic<bool> scaling_in_progress{false};
 

@@ -302,7 +302,8 @@ void Replica::Materialize() {
   ctl_->ResetMetadata();
   if (!base_snapshot_.empty()) {
     // Keep `migrating` brackets: the repartitioner re-resolves the leader
-    // and either commits (require_migrating) or aborts via EndMigration.
+    // and either commits (which requires the bracket) or aborts via
+    // EndMigration.
     ctl_->Restore(base_snapshot_, /*preserve_migrating=*/true);
   }
   // Blobs are complete job states, so only the latest committed blob per

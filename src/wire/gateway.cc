@@ -11,23 +11,21 @@ WireGateway::WireGateway(JiffyCluster* cluster, Options options)
   // in-process client would, or blocks written exclusively over the wire
   // never split. The repartitioner re-validates span/replication before
   // acting, so the hook only pre-filters on the usage threshold.
-  if (cluster->repartitioner() != nullptr) {
-    service_.set_pressure_hook([cluster](Block* block, double usage) {
-      if (usage < cluster->config().repartition_high_threshold) {
-        return;
-      }
-      Repartitioner::Hint hint;
-      hint.job = block->owner_job();
-      hint.prefix = block->owner_prefix();
-      if (hint.job.empty() || hint.prefix.empty()) {
-        return;
-      }
-      hint.block = block->id();
-      hint.type = DsType::kKvStore;
-      hint.pressure = Repartitioner::Pressure::kOverload;
-      cluster->repartitioner()->Flag(block, std::move(hint));
-    });
-  }
+  service_.set_pressure_hook([cluster](Block* block, double usage) {
+    if (usage < cluster->config().repartition_high_threshold) {
+      return;
+    }
+    Repartitioner::Hint hint;
+    hint.job = block->owner_job();
+    hint.prefix = block->owner_prefix();
+    if (hint.job.empty() || hint.prefix.empty()) {
+      return;
+    }
+    hint.block = block->id();
+    hint.type = DsType::kKvStore;
+    hint.pressure = Repartitioner::Pressure::kOverload;
+    cluster->repartitioner()->Flag(block, std::move(hint));
+  });
   TcpServer::Options server_options;
   server_options.port = options.port;
   server_options.threads = options.threads;

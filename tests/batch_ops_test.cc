@@ -121,9 +121,7 @@ TEST_F(BatchOpsTest, MultiPutSpansMultipleBlocks) {
   for (const Status& st : (*kv)->MultiPut(pairs)) {
     ASSERT_TRUE(st.ok());
   }
-  if (cluster_->repartitioner() != nullptr) {
-    cluster_->repartitioner()->WaitIdle();
-  }
+  cluster_->repartitioner()->WaitIdle();
   ASSERT_TRUE((*kv)->RefreshMap().ok());
   EXPECT_GT((*kv)->CachedMap().entries.size(), 1u);
   auto results = (*kv)->MultiGet(std::vector<std::string_view>{"key0", "key150", "key299"});
@@ -218,6 +216,112 @@ TEST_F(BatchOpsBigBlockTest, EmptyBatchesAreNoOps) {
   ASSERT_TRUE(drained.ok());
   EXPECT_TRUE(drained->empty());
   EXPECT_EQ(net->total_rpcs() - rpcs0, 0u);
+}
+
+TEST_F(BatchOpsBigBlockTest, EmptyBatchesCountAsSuccesses) {
+  ASSERT_TRUE(client_->CreateAddrPrefix("/job/kv", {}).ok());
+  auto kv = client_->OpenKv("/job/kv");
+  ASSERT_TRUE(kv.ok());
+  const obs::MetricsSnapshot before = cluster_->MetricsSnapshot();
+  (*kv)->MultiPut(std::vector<std::pair<std::string_view, std::string_view>>{});
+  (*kv)->MultiDelete(std::vector<std::string_view>{});
+  (*kv)->MultiGetPinned({});
+  const obs::MetricsSnapshot after = cluster_->MetricsSnapshot();
+  EXPECT_EQ(after.SumCounters("client.ops_total") -
+                before.SumCounters("client.ops_total"),
+            3u);
+  EXPECT_EQ(after.SumCounters("client.op_errors_total") -
+                before.SumCounters("client.op_errors_total"),
+            0u);
+}
+
+// Pins the exchanges every KV op issues: a fixed sequence of single-key and
+// batched ops on four unsplit blocks must move exactly these data-plane
+// RPCs, operations and bytes. SimClock and hour-long leases keep lease and
+// clock effects out; a low threshold of 0 keeps deletes from flagging
+// merges, and 64 KiB blocks stay far below the split threshold.
+struct ExchangeCount {
+  uint64_t rpcs;
+  uint64_t ops;
+  uint64_t bytes;
+};
+
+ExchangeCount RunAccountingSequence(uint32_t replication_factor) {
+  SimClock clock;
+  JiffyCluster::Options opts;
+  opts.config.num_memory_servers = 4;
+  opts.config.blocks_per_server = 64;
+  opts.config.block_size_bytes = 64 << 10;
+  opts.config.lease_duration = 3600 * kSecond;
+  opts.config.repartition_low_threshold = 0.0;
+  opts.clock = &clock;
+  JiffyCluster cluster(opts);
+  JiffyClient client(&cluster);
+  EXPECT_TRUE(client.RegisterJob("job").ok());
+  CreateOptions create;
+  create.replication_factor = replication_factor;
+  EXPECT_TRUE(client.CreateAddrPrefix("/job/kv", {}, create).ok());
+  auto kv_r = client.OpenKv("/job/kv", 4 * (64 << 10));
+  EXPECT_TRUE(kv_r.ok());
+  KvClient* kv = kv_r->get();
+  EXPECT_EQ(kv->CachedMap().entries.size(), 4u);
+
+  Transport* net = cluster.data_transport();
+  const ExchangeCount base{net->total_rpcs(), net->total_ops(),
+                           net->total_bytes()};
+  for (int i = 0; i < 40; ++i) {
+    EXPECT_TRUE(
+        kv->Put("k" + std::to_string(i), std::string(10 + i, 'v')).ok());
+  }
+  for (int i = 0; i < 45; ++i) {
+    EXPECT_EQ(kv->Get("k" + std::to_string(i)).ok(), i < 40);
+  }
+  const KvClient::MergeFn concat = [](std::string_view old_value,
+                                      std::string_view update) {
+    return std::string(old_value) + std::string(update);
+  };
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_TRUE(kv->Accumulate("k" + std::to_string(i), "+", concat).ok());
+  }
+  for (int i = 30; i < 35; ++i) {
+    EXPECT_TRUE(kv->Delete("k" + std::to_string(i)).ok());
+  }
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (int i = 100; i < 164; ++i) {
+    pairs.emplace_back("m" + std::to_string(i), std::string(i % 37, 'm'));
+  }
+  for (const Status& st : kv->MultiPut(pairs)) {
+    EXPECT_TRUE(st.ok()) << st;
+  }
+  std::vector<std::string> reads;
+  for (int i = 90; i < 170; ++i) {
+    reads.push_back("m" + std::to_string(i));
+  }
+  const WireValues got = kv->MultiGet(reads);
+  for (size_t j = 0; j < reads.size(); ++j) {
+    EXPECT_EQ(got[j].ok(), j >= 10 && j < 74) << reads[j];
+  }
+  std::vector<std::string> dels(reads.begin() + 10, reads.begin() + 26);
+  for (const Status& st : kv->MultiDelete(dels)) {
+    EXPECT_TRUE(st.ok()) << st;
+  }
+  cluster.repartitioner()->WaitIdle();
+  return {net->total_rpcs() - base.rpcs, net->total_ops() - base.ops,
+          net->total_bytes() - base.bytes};
+}
+
+TEST(KvExchangeAccountingTest, UnreplicatedSequenceIssuesFixedExchanges) {
+  const ExchangeCount c = RunAccountingSequence(1);
+  EXPECT_EQ(c.rpcs, 107u);
+  EXPECT_EQ(c.ops, 255u);
+  EXPECT_EQ(c.bytes, 21765u);
+}
+
+TEST(KvExchangeAccountingTest, ChainSequenceIssuesFixedExchanges) {
+  const ExchangeCount c = RunAccountingSequence(2);
+  EXPECT_EQ(c.rpcs, 165u);
+  EXPECT_EQ(c.ops, 385u);
+  EXPECT_EQ(c.bytes, 32016u);
 }
 
 // --- Queue -------------------------------------------------------------------

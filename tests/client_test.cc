@@ -30,9 +30,7 @@ class ClientTest : public ::testing::Test {
   // Lets the background repartitioner finish every pending split/merge so
   // assertions about the partition map are deterministic.
   void DrainRepartitioner() {
-    if (cluster_->repartitioner() != nullptr) {
-      cluster_->repartitioner()->WaitIdle();
-    }
+    cluster_->repartitioner()->WaitIdle();
   }
 
   SimClock clock_;

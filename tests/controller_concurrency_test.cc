@@ -139,6 +139,9 @@ TEST(ControllerConcurrencyTest, NoLostVersionBumpsUnderGrowthAndSplits) {
             auto map = ctl->GetPartitionMap("job", prefix);
             ASSERT_TRUE(map.ok());
             const PartitionEntry& victim = map->entries.front();
+            // A commit requires the migration bracket; opening it does not
+            // bump the map version.
+            ASSERT_TRUE(ctl->BeginMigration("job", prefix, victim.block).ok());
             ASSERT_TRUE(ctl->CommitSplit("job", prefix, victim.block,
                                          victim.lo, victim.hi, entry)
                             .ok());

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/client/jiffy_client.h"
+#include "src/common/serde.h"
 #include "src/ds/kv_content.h"
 
 namespace jiffy {
@@ -90,6 +91,17 @@ TEST_F(FailoverTest, RestoreRejectsGarbage) {
   EXPECT_FALSE(standby->Restore("definitely-not-a-snapshot").ok());
 }
 
+TEST_F(FailoverTest, RestoreRejectsPreV3Header) {
+  // A well-formed empty snapshot in the v2 layout (no applied-index stamp):
+  // only v3 is ever written, so any other version is refused.
+  std::string v2;
+  PutU32(&v2, 2);
+  PutU32(&v2, 0);
+  auto standby = MakeStandby();
+  EXPECT_EQ(standby->Restore(v2).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(standby->Restore(standby->Snapshot()).ok());
+}
+
 TEST_F(FailoverTest, PromotedStandbyServesLiveData) {
   // Write real data through the primary, snapshot, "crash" the primary,
   // and keep operating through the promoted standby: the data plane is
@@ -104,9 +116,7 @@ TEST_F(FailoverTest, PromotedStandbyServesLiveData) {
   }
   // Let in-flight background splits publish before snapshotting the
   // control plane (in-flight migration state is not serialized).
-  if (cluster_->repartitioner() != nullptr) {
-    cluster_->repartitioner()->WaitIdle();
-  }
+  cluster_->repartitioner()->WaitIdle();
   const std::string snap = primary->Snapshot();
 
   auto standby = MakeStandby();

@@ -608,9 +608,7 @@ TEST_F(FaultFailoverTest, BackgroundSplitsSurviveServerCrash) {
       cluster->FailServer((*kv)->CachedMap().entries[0].block.server_id);
     }
   }
-  if (cluster->repartitioner() != nullptr) {
-    cluster->repartitioner()->WaitIdle();
-  }
+  cluster->repartitioner()->WaitIdle();
   for (int i = 0; i < 200; ++i) {
     auto v = (*kv)->Get("k" + std::to_string(i));
     ASSERT_TRUE(v.ok()) << i << ": " << v.status();
@@ -677,7 +675,6 @@ TEST(FaultRsmTest, RenewalStormRidesThroughLeaderCrash) {
   copts.config.block_size_bytes = 16 << 10;
   copts.config.controller_replicas = 3;
   copts.config.lease_duration = 3600 * kSecond;  // No expiry mid-storm.
-  copts.config.background_repartition = false;
   auto cluster = std::make_unique<JiffyCluster>(copts);
   rsm::ControllerGroup* group = cluster->controller_group(0);
   ASSERT_NE(group, nullptr);
@@ -728,7 +725,6 @@ TEST(FaultRsmTest, ConcurrentMutationsAcrossArmedCrashesStayConsistent) {
   copts.config.blocks_per_server = 32;
   copts.config.block_size_bytes = 16 << 10;
   copts.config.controller_replicas = 3;
-  copts.config.background_repartition = false;
   auto cluster = std::make_unique<JiffyCluster>(copts);
   rsm::ControllerGroup* group = cluster->controller_group(0);
   JiffyClient seed(cluster.get());

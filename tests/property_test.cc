@@ -138,9 +138,7 @@ TEST_P(DsPropertyTest, KvMatchesReferenceMapUnderChurn) {
   }
   // Drain in-flight background merges: CountPairs would otherwise see a
   // migration's destination copies alongside the authoritative source.
-  if (cluster->repartitioner() != nullptr) {
-    cluster->repartitioner()->WaitIdle();
-  }
+  cluster->repartitioner()->WaitIdle();
   EXPECT_EQ(*(*kv)->CountPairs(), reference.size());
   for (const auto& [k, v] : reference) {
     auto got = (*kv)->Get(k);
@@ -173,9 +171,7 @@ TEST_P(DsPropertyTest, KvFlushLoadRoundTripPreservesEverything) {
   }
   // Quiesce background scaling first — expiry silently defers prefixes with
   // a migration in flight, and the flush must capture the final layout.
-  if (cluster.repartitioner() != nullptr) {
-    cluster.repartitioner()->WaitIdle();
-  }
+  cluster.repartitioner()->WaitIdle();
   // Let the lease lapse: data is flushed and reclaimed across many blocks.
   clock.AdvanceBy(2 * kSecond);
   ASSERT_EQ(cluster.controller_shard(0)->RunExpiryScan(), 1u);

@@ -9,13 +9,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/client/jiffy_client.h"
 #include "src/common/random.h"
+#include "src/ds/kv_content.h"
 
 namespace jiffy {
 namespace {
@@ -31,7 +35,6 @@ std::unique_ptr<JiffyCluster> MigrationCluster(size_t chunk_bytes) {
 }
 
 void DrainRepartitioner(JiffyCluster* cluster) {
-  ASSERT_NE(cluster->repartitioner(), nullptr);
   cluster->repartitioner()->WaitIdle();
 }
 
@@ -247,6 +250,136 @@ TEST(RepartitionConcurrencyTest, QueueBackgroundScalingKeepsExactlyOnce) {
   EXPECT_EQ(seen.size(), static_cast<size_t>(kProducers) * kItems);
   for (const auto& item : seen) {
     EXPECT_EQ(seen.count(item), 1u) << item;
+  }
+}
+
+// The window between a split's final hold and its commit (DESIGN.md §9,
+// phases 5-6): the shards have flipped ownership of [mid, hi) to the
+// destination, but the controller still maps the range to the source. A
+// reader there gets kStaleMetadata, refreshes, and receives the same map
+// until the commit lands; it must wait the commit out, not fail. The split
+// runs by hand so the test decides when the commit happens: only after the
+// reader has refreshed more than 64 times, so a reader that gives up after
+// a fixed 64 stale retries fails, or once the reader has returned.
+class KvStaleWindowConcurrencyTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    JiffyCluster::Options opts;
+    opts.config.num_memory_servers = 2;
+    opts.config.blocks_per_server = 16;
+    opts.config.block_size_bytes = 64 << 10;
+    opts.config.lease_duration = 3600 * kSecond;
+    cluster_ = std::make_unique<JiffyCluster>(opts);
+    client_ = std::make_unique<JiffyClient>(cluster_.get());
+    ASSERT_TRUE(client_->RegisterJob("job").ok());
+    ASSERT_TRUE(client_->CreateAddrPrefix("/job/kv", {}).ok());
+    auto kv = client_->OpenKv("/job/kv");
+    ASSERT_TRUE(kv.ok());
+    kv_ = std::move(*kv);
+    const PartitionMap map = kv_->CachedMap();
+    ASSERT_EQ(map.entries.size(), 1u);
+    src_ = map.entries[0].block;
+    lo_ = static_cast<uint32_t>(map.entries[0].lo);
+    hi_ = static_cast<uint32_t>(map.entries[0].hi);
+    mid_ = lo_ + (hi_ - lo_) / 2;
+    // Keys on both sides of the split point; the upper ones move.
+    for (int i = 0; keys_.size() < 8; ++i) {
+      const std::string key = "key" + std::to_string(i);
+      const bool upper = KvSlotOf(key, opts.config.kv_hash_slots) >= mid_;
+      if (upper || keys_.size() < 2) {
+        keys_.push_back(key);
+        ASSERT_TRUE(kv_->Put(key, "value-" + key).ok());
+      }
+    }
+  }
+
+  // Phases 1-5 of a split, without the commit: bracket the source, stage
+  // an unmapped destination owning [mid, mid), then under both block locks
+  // move the upper half and flip shard ownership.
+  void SplitWithoutCommit() {
+    Controller* ctl = cluster_->ControllerFor("job");
+    ASSERT_TRUE(ctl->BeginMigration("job", "kv", src_).ok());
+    auto dest = ctl->AllocateUnmapped("job", "kv", mid_, mid_);
+    ASSERT_TRUE(dest.ok()) << dest.status();
+    dest_ = *dest;
+    Block* src = cluster_->ResolveBlock(src_);
+    Block* dst = cluster_->ResolveBlock(dest_);
+    ASSERT_NE(src, nullptr);
+    ASSERT_NE(dst, nullptr);
+    Block::OpLock lock_a(src->id() < dst->id() ? *src : *dst);
+    Block::OpLock lock_b(src->id() < dst->id() ? *dst : *src);
+    auto* shard = ContentAs<KvShard>(src->content());
+    auto* dshard = ContentAs<KvShard>(dst->content());
+    ASSERT_NE(shard, nullptr);
+    ASSERT_NE(dshard, nullptr);
+    ASSERT_TRUE(shard->BeginMigration(mid_).ok());
+    std::vector<std::pair<std::string, std::string>> pairs;
+    size_t cursor = 0;
+    while (!shard->SplitOffChunk(&cursor, 1 << 20, &pairs)) {
+    }
+    ASSERT_FALSE(pairs.empty());
+    ASSERT_TRUE(dshard->MoveInPairs(mid_, hi_, &pairs).ok());
+    ASSERT_TRUE(dshard->ExtendRange(mid_, hi_).ok());
+    shard->FinishMigration();
+  }
+
+  // Publishes the split once the reader has made more than 64 control
+  // exchanges (map refreshes) or has returned, whichever comes first.
+  std::thread CommitAfterRefreshes(const std::atomic<bool>* reader_done) {
+    Transport* control = cluster_->control_transport();
+    const uint64_t base = control->total_rpcs();
+    return std::thread([this, control, base, reader_done] {
+      while (control->total_rpcs() - base <= 64 &&
+             !reader_done->load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      PartitionEntry fresh;
+      fresh.block = dest_;
+      fresh.lo = mid_;
+      fresh.hi = hi_;
+      EXPECT_TRUE(cluster_->ControllerFor("job")
+                      ->CommitSplit("job", "kv", src_, lo_, mid_, fresh)
+                      .ok());
+    });
+  }
+
+  std::unique_ptr<JiffyCluster> cluster_;
+  std::unique_ptr<JiffyClient> client_;
+  std::unique_ptr<KvClient> kv_;
+  std::vector<std::string> keys_;
+  BlockId src_;
+  BlockId dest_;
+  uint32_t lo_ = 0;
+  uint32_t mid_ = 0;
+  uint32_t hi_ = 0;
+};
+
+TEST_F(KvStaleWindowConcurrencyTest, GetWaitsOutPendingCommit) {
+  SplitWithoutCommit();
+  const std::string& moved = keys_.back();
+  ASSERT_GE(KvSlotOf(moved, cluster_->config().kv_hash_slots), mid_);
+  std::atomic<bool> reader_done{false};
+  std::thread committer = CommitAfterRefreshes(&reader_done);
+  Result<std::string> got = kv_->Get(moved);
+  reader_done.store(true, std::memory_order_release);
+  committer.join();
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(*got, "value-" + moved);
+}
+
+TEST_F(KvStaleWindowConcurrencyTest, MultiGetPinnedWaitsOutPendingCommit) {
+  SplitWithoutCommit();
+  const std::vector<std::string_view> views(keys_.begin(), keys_.end());
+  std::atomic<bool> reader_done{false};
+  std::thread committer = CommitAfterRefreshes(&reader_done);
+  KvClient::PinnedValues pinned = kv_->MultiGetPinned(views);
+  reader_done.store(true, std::memory_order_release);
+  committer.join();
+  ASSERT_EQ(pinned.values.size(), keys_.size());
+  for (size_t i = 0; i < keys_.size(); ++i) {
+    ASSERT_TRUE(pinned.values[i].ok())
+        << keys_[i] << ": " << pinned.values[i].status();
+    EXPECT_EQ(*pinned.values[i], "value-" + keys_[i]);
   }
 }
 

@@ -26,7 +26,6 @@ std::unique_ptr<JiffyCluster> MakeReplicated(uint32_t replicas,
   opts.config.controller_shards = 1;
   opts.config.controller_replicas = replicas;
   opts.config.rsm_snapshot_threshold = snap_threshold;
-  opts.config.background_repartition = false;
   if (clock != nullptr) {
     opts.clock = clock;
   }
@@ -438,10 +437,8 @@ TEST(RsmMigrationTest, MigrationBracketSurvivesFailover) {
   new_entry.block = *dest;
   new_entry.lo = mid;
   new_entry.hi = hi;
-  ASSERT_TRUE(promoted
-                  ->CommitSplit("job", "a", src, lo, mid, new_entry,
-                                /*require_migrating=*/true)
-                  .ok());
+  ASSERT_TRUE(
+      promoted->CommitSplit("job", "a", src, lo, mid, new_entry).ok());
   auto after = promoted->GetPartitionMap("job", "a");
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->entries.size(), 2u);

@@ -183,9 +183,7 @@ TEST(StressTest, KvChurnWithConcurrentReadersThroughSplitsAndMerges) {
   }
   EXPECT_GT(reads.load(), 10u);
   // Drain queued pressure flags so the counters reflect processed scaling.
-  if (cluster->repartitioner() != nullptr) {
-    cluster->repartitioner()->WaitIdle();
-  }
+  cluster->repartitioner()->WaitIdle();
   // The state registry saw real scaling activity.
   auto state = cluster->registry()->Find("job", "kv");
   ASSERT_NE(state, nullptr);

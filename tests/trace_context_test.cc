@@ -232,7 +232,6 @@ TEST_F(TraceClusterTest, RepartitionerLinksBackToTriggeringOp) {
   TraceStateGuard guard;
   // Small blocks so the write stream trips background splits.
   auto cluster = MakeCluster(/*block_size=*/4096);
-  ASSERT_NE(cluster->repartitioner(), nullptr);
   JiffyClient client(cluster.get());
   ASSERT_TRUE(client.RegisterJob("job").ok());
   ASSERT_TRUE(client.CreateAddrPrefix("/job/kv", {}).ok());
