@@ -75,13 +75,14 @@ void SloMonitor::TenantState::Record(DurationNs latency_ns, bool ok) {
     if (!ok) {
       ++total_errors_;
     }
-    // Threshold evaluation is amortized: every check_every records, and
-    // rate-limited per tenant by the alert cooldown.
+    // Threshold evaluation is amortized: every check_every records. The
+    // first crossing alerts at once; later ones wait out the cooldown.
     if (seq_ % owner_->options_.check_every == 0) {
       TenantHealth h = owner_->HealthLocked(this);
       if (h.p99_violated || h.budget_exhausted) {
         const TimeNs now = RealClock::Instance()->Now();
-        if (now - last_alert_ns_ >= owner_->options_.alert_cooldown) {
+        if (!last_alert_ns_.has_value() ||
+            now - *last_alert_ns_ >= owner_->options_.alert_cooldown) {
           last_alert_ns_ = now;
           alert_snapshot = h;
           fire = true;
@@ -122,7 +123,7 @@ void SloMonitor::SetOptions(const Options& options) {
     state->ok_.assign(options.window_capacity, 0);
     state->seq_ = 0;
     state->total_errors_ = 0;
-    state->last_alert_ns_ = 0;
+    state->last_alert_ns_.reset();
   }
 }
 
@@ -246,7 +247,7 @@ void SloMonitor::Reset() {
     std::lock_guard<std::mutex> lock(state->mu_);
     state->seq_ = 0;
     state->total_errors_ = 0;
-    state->last_alert_ns_ = 0;
+    state->last_alert_ns_.reset();
   }
   alerts_fired_.store(0, std::memory_order_relaxed);
 }

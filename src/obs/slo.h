@@ -10,8 +10,9 @@
 //
 // Threshold callbacks: when a tenant's windowed p99 exceeds the latency
 // target or its error budget is exhausted, the monitor fires the registered
-// alert callback — rate-limited per tenant by a cooldown so a sustained
-// violation produces one alert per cooldown period, not one per op.
+// alert callback. A tenant's first crossing alerts at once, whatever the
+// clock reads; a per-tenant cooldown spaces only the later alerts, so a
+// sustained violation produces one alert per cooldown period, not one per op.
 //
 // Cost model: recording is gated on JIFFY_SLO (default on) AND the obs
 // master flag; disabled, Record() is one relaxed load and a branch. Enabled,
@@ -28,6 +29,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -98,9 +100,9 @@ class SloMonitor {
   void SetAlertCallback(AlertFn fn);
 
   // Replaces the targets/window parameters. Drops all samples (the window
-  // capacity may change); cached TenantState handles stay valid. Not
-  // synchronized against concurrent Record() — call during setup, before
-  // traffic.
+  // capacity may change) and re-arms every tenant's alert; cached
+  // TenantState handles stay valid. Not synchronized against concurrent
+  // Record() — call during setup, before traffic.
   void SetOptions(const Options& options);
 
   // Health of one tenant / all tenants (sorted by tenant id).
@@ -111,14 +113,16 @@ class SloMonitor {
   std::string ReportText();
   std::string ReportJson();
 
-  // Alerts fired since construction (for tests and health dumps).
+  // Alerts fired since construction or the last Reset() (for tests and
+  // health dumps).
   uint64_t alerts_fired() const {
     return alerts_fired_.load(std::memory_order_relaxed);
   }
 
   const Options& options() const { return options_; }
 
-  // Drops all samples and alert state (tenant registrations survive).
+  // Drops all samples and alert state, re-arming every tenant's alert
+  // (tenant registrations survive).
   void Reset();
 
  private:
@@ -154,7 +158,10 @@ class SloMonitor::TenantState {
   std::vector<uint8_t> ok_;
   uint64_t seq_ = 0;        // Total samples ever recorded.
   uint64_t total_errors_ = 0;
-  TimeNs last_alert_ns_ = 0;
+  // RealClock reading of the last alert; empty until the first, so the first
+  // crossing fires at once whatever the clock reads (steady_clock counts from
+  // boot) and the cooldown spaces only later alerts.
+  std::optional<TimeNs> last_alert_ns_;
 };
 
 }  // namespace obs

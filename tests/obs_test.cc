@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <set>
 #include <string_view>
 #include <thread>
@@ -364,6 +365,44 @@ TEST(ObsSlo, ErrorBudgetExhaustionFiresRateLimitedAlerts) {
   }
   EXPECT_EQ(slo.alerts_fired(), 1u);
   EXPECT_FALSE(slo.Health("beta").budget_exhausted);
+}
+
+// The first crossing alerts at once, however long the monotonic clock has
+// been running, and Reset() / SetOptions() re-arm it. An unbounded cooldown
+// makes any "last alert at clock reading 0" sentinel suppress every alert.
+TEST(ObsSlo, FirstCrossingAlertsAtOnceAndResetRearms) {
+  ObsStateGuard obs_guard;
+  obs::SetEnabled(true);
+  SloFlagGuard slo_guard;
+  obs::SloMonitor::Options opts;
+  opts.target.availability = 0.99;
+  opts.window_capacity = 128;
+  opts.check_every = 1;
+  opts.alert_cooldown = std::numeric_limits<DurationNs>::max();
+  obs::SloMonitor slo(opts);
+  int callbacks = 0;
+  slo.SetAlertCallback([&](const obs::TenantHealth&) { ++callbacks; });
+  obs::SloMonitor::TenantState* h = slo.Handle("acme");
+  for (int i = 0; i < 10; ++i) {
+    h->Record(1 * kMillisecond, /*ok=*/false);
+  }
+  EXPECT_EQ(slo.alerts_fired(), 1u);
+  EXPECT_EQ(callbacks, 1);
+
+  slo.Reset();
+  EXPECT_EQ(slo.alerts_fired(), 0u);
+  for (int i = 0; i < 10; ++i) {
+    h->Record(1 * kMillisecond, /*ok=*/false);
+  }
+  EXPECT_EQ(slo.alerts_fired(), 1u);
+  EXPECT_EQ(callbacks, 2);
+
+  slo.SetOptions(opts);
+  for (int i = 0; i < 10; ++i) {
+    h->Record(1 * kMillisecond, /*ok=*/false);
+  }
+  EXPECT_EQ(slo.alerts_fired(), 2u);
+  EXPECT_EQ(callbacks, 3);
 }
 
 TEST(ObsSlo, SetOptionsDropsSamplesButKeepsHandles) {
