@@ -11,12 +11,10 @@
 #ifndef SRC_CLIENT_DS_CLIENT_H_
 #define SRC_CLIENT_DS_CLIENT_H_
 
-#include <algorithm>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 
 #include "src/cluster/cluster.h"
 #include "src/client/retry.h"
@@ -230,24 +228,9 @@ class DsClient {
 
   // Bounded retries for the queue, file and custom clients' stale-metadata
   // loops; exceeding this indicates a livelock bug rather than routine
-  // scaling. KvClient bounds its retries by the retry policy's op_deadline.
+  // scaling. KvClient bounds its retries by the retry policy's op_deadline
+  // (RetriesExpired); every loop backs off with BackoffRetry (retry.h).
   static constexpr int kMaxStaleRetries = 64;
-
-  // Progressive backoff between stale retries. Retries typically wait for
-  // another client's in-flight scaling op; on a busy machine that client
-  // may not be scheduled for a while, so spin first, then sleep briefly.
-  static void BackoffRetry(int attempt) {
-    if (attempt == 0) {
-      return;
-    }
-    if (attempt < 4) {
-      std::this_thread::yield();
-      return;
-    }
-    RealClock::Instance()->SleepFor(
-        std::min<DurationNs>(200 * kMicrosecond,
-                             static_cast<DurationNs>(attempt) * 10 * kMicrosecond));
-  }
 
  private:
   friend class OpScope;

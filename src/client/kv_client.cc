@@ -52,25 +52,6 @@ double UsageOf(const KvShard& shard) {
          static_cast<double>(shard.capacity());
 }
 
-// Wall-clock bound on an op's retries, called before each retry with
-// `*start` at -1 before the first. A stale answer can outlast any fixed
-// retry count: after a split's final hold the source shard answers
-// kStaleMetadata until the controller publishes the new map, and a refresh
-// returns the old map until then. So an op keeps retrying until `budget`
-// has passed on RealClock (the clock BackoffRetry sleeps on) since its
-// first retry; 0 means unbounded. The clock is read only once a retry is
-// needed, so an op that succeeds on its first attempt pays nothing.
-bool RetriesExpired(DurationNs budget, TimeNs* start) {
-  if (budget <= 0) {
-    return false;
-  }
-  const TimeNs now = RealClock::Instance()->Now();
-  if (*start < 0) {
-    *start = now;
-  }
-  return now - *start > budget;
-}
-
 Status Livelock(const char* op_span) {
   return Unavailable(std::string(op_span) +
                      " livelock (stale answers past op_deadline)");

@@ -72,4 +72,15 @@ void Retrier::RecordSuccess(std::atomic<int>* budget) {
   }
 }
 
+bool RetriesExpired(DurationNs budget, TimeNs* start) {
+  if (budget <= 0) {
+    return false;
+  }
+  const TimeNs now = RealClock::Instance()->Now();
+  if (*start < 0) {
+    *start = now;
+  }
+  return now - *start > budget;
+}
+
 }  // namespace jiffy

@@ -20,8 +20,10 @@
 #ifndef SRC_CLIENT_RETRY_H_
 #define SRC_CLIENT_RETRY_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <thread>
 
 #include "src/common/clock.h"
 #include "src/common/random.h"
@@ -42,9 +44,10 @@ struct RetryPolicy {
   // Per-operation wall budget; 0 = unbounded. Checked against the clock the
   // transport charges (virtual clocks never advance in kZero mode, so there
   // the attempts cap is the binding brake). KvClient also bounds a whole
-  // op's retries (stale answers, failovers, lost read replies) by it,
-  // measured on RealClock from the op's first retry: a reader waits out a
-  // split whose map publish is still pending (DESIGN.md §9).
+  // op's retries (stale answers, failovers, lost read replies) by it, and
+  // WireKvClient its stale-map rounds (RetriesExpired below), measured on
+  // RealClock from the op's first retry: a reader waits out a split whose
+  // map publish is still pending (DESIGN.md §9, §12).
   DurationNs op_deadline = 500 * kMillisecond;
 
   static bool IsRetryable(StatusCode code) {
@@ -105,6 +108,33 @@ class Retrier {
   DurationNs next_backoff_;
   uint32_t failures_ = 0;
 };
+
+// Wall-clock bound on an op's stale-map retries, called before each retry
+// with `*start` at -1 before the first. A stale answer can outlast any fixed
+// retry count: after a split's final hold the source shard answers
+// kStaleMetadata until the controller publishes the new map, and a refresh
+// returns the old map until then. So an op keeps retrying until `budget`
+// has passed on RealClock (the clock BackoffRetry sleeps on) since its
+// first retry; 0 means unbounded. The clock is read only once a retry is
+// needed, so an op that succeeds on its first attempt pays nothing.
+bool RetriesExpired(DurationNs budget, TimeNs* start);
+
+// Progressive backoff before stale retry `attempt` (0 = first try, no
+// wait). Retries typically wait for another client's in-flight scaling op;
+// on a busy machine that client may not be scheduled for a while, so spin
+// first, then sleep briefly on RealClock. Inline: every op calls it once
+// with attempt 0.
+inline void BackoffRetry(int attempt) {
+  if (attempt == 0) {
+    return;
+  }
+  if (attempt < 4) {
+    std::this_thread::yield();
+    return;
+  }
+  RealClock::Instance()->SleepFor(std::min<DurationNs>(
+      200 * kMicrosecond, static_cast<DurationNs>(attempt) * 10 * kMicrosecond));
+}
 
 }  // namespace jiffy
 

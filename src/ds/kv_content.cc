@@ -167,22 +167,6 @@ size_t KvShard::SplitOffLower(
   return moved;
 }
 
-Status KvShard::Absorb(uint32_t other_lo, uint32_t other_hi,
-                       std::vector<std::pair<std::string, std::string>>* pairs) {
-  if (other_hi != slot_lo_ && other_lo != slot_hi_) {
-    return InvalidArgument("absorbed slot range is not adjacent");
-  }
-  // Validates every pair before inserting any and before the range moves,
-  // so a failed absorb leaves both the shard and `*pairs` untouched.
-  JIFFY_RETURN_IF_ERROR(MoveInPairs(other_lo, other_hi, pairs));
-  if (other_hi == slot_lo_) {
-    slot_lo_ = other_lo;
-  } else {
-    slot_hi_ = other_hi;
-  }
-  return Status::Ok();
-}
-
 Status KvShard::BeginMigration(uint32_t from_slot) {
   if (migrating_) {
     return FailedPrecondition("shard migration already in flight");

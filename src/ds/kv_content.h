@@ -114,15 +114,6 @@ class KvShard : public BlockContent {
   size_t SplitOffLower(uint32_t up_to_slot,
                        std::vector<std::pair<std::string, std::string>>* out);
 
-  // Absorbs pairs (from a merging sibling) and extends the owned range to
-  // [min(slot_lo, other_lo), max(slot_hi, other_hi)). The sibling's range
-  // must be adjacent. All-or-nothing: any pair outside [other_lo, other_hi)
-  // fails the whole call before anything is inserted or the range moves,
-  // leaving `*pairs` untouched so the caller can restore them to their
-  // source; on success `*pairs` is consumed.
-  Status Absorb(uint32_t other_lo, uint32_t other_hi,
-                std::vector<std::pair<std::string, std::string>>* pairs);
-
   // --- Chunked live migration (DESIGN.md §9) --------------------------------
   //
   // Source side. BeginMigration(from_slot) snapshots the keys currently in

@@ -1,17 +1,23 @@
 #include "src/net/completion.h"
 
+#include "src/common/logging.h"
+
 namespace jiffy {
 
 CompletionWindow::CompletionWindow(size_t depth) : depth_(depth) {}
 
-uint64_t CompletionWindow::Begin() {
+uint64_t CompletionWindow::Begin(size_t n) {
+  JIFFY_CHECK(n >= 1 && (depth_ == 0 || n <= depth_));
   std::unique_lock<std::mutex> lock(mu_);
-  cv_slot_.wait(lock, [this] { return depth_ == 0 || outstanding_ < depth_; });
-  ++outstanding_;
+  cv_slot_.wait(lock,
+                [this, n] { return depth_ == 0 || outstanding_ + n <= depth_; });
+  outstanding_ += n;
   if (outstanding_ > high_water_) {
     high_water_ = outstanding_;
   }
-  return next_tag_++;
+  const uint64_t first = next_tag_;
+  next_tag_ += n;
+  return first;
 }
 
 void CompletionWindow::Complete(uint64_t tag, Status status) {
@@ -24,7 +30,10 @@ void CompletionWindow::Complete(uint64_t tag, Status status) {
     --outstanding_;
     drained = outstanding_ == 0;
   }
-  cv_slot_.notify_one();
+  // Every waiter re-checks: one freed slot may satisfy a single-tag waiter
+  // but not a batch waiting for several, so notify_one could wake the
+  // wrong one and strand the other.
+  cv_slot_.notify_all();
   if (drained) {
     cv_drain_.notify_all();
   }

@@ -7,6 +7,11 @@
 // number outstanding (backpressure), records per-tag statuses as they
 // arrive, and reports errors by SUBMISSION order — the first failure is the
 // lowest tag, never whichever response happened to race home first.
+//
+// A batch reserves all of its slots in one Begin(n): a caller that took its
+// tags one at a time and sent them only at the end could hold some slots
+// while it blocks for more, and two such callers on one full window would
+// wait on each other forever.
 
 #ifndef SRC_NET_COMPLETION_H_
 #define SRC_NET_COMPLETION_H_
@@ -37,9 +42,11 @@ class CompletionWindow {
   CompletionWindow(const CompletionWindow&) = delete;
   CompletionWindow& operator=(const CompletionWindow&) = delete;
 
-  // Allocates the next tag, blocking while the window is full. Tags are
-  // monotonically increasing from 1 — lower tag == earlier submission.
-  uint64_t Begin();
+  // Allocates `n` consecutive tags and returns the first, blocking until
+  // `n` slots are free at once. Tags are monotonically increasing from 1 —
+  // lower tag == earlier submission. Requires 1 <= n <= depth() (any n when
+  // unbounded).
+  uint64_t Begin(size_t n = 1);
 
   // Records the completion of `tag` (any order) and frees its window slot.
   void Complete(uint64_t tag, Status status);
@@ -55,6 +62,9 @@ class CompletionWindow {
   std::vector<TaggedStatus> TakeErrors();
 
   size_t in_flight() const;
+
+  // The bound passed at construction (0 = unbounded).
+  size_t depth() const { return depth_; }
 
   // High-water mark of concurrently outstanding tags since construction —
   // how deep the pipeline actually ran, not just its configured bound.

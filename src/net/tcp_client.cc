@@ -4,6 +4,7 @@
 
 #include <future>
 #include <utility>
+#include <vector>
 
 namespace jiffy {
 
@@ -54,7 +55,7 @@ TcpConnection::~TcpConnection() {
   }
 }
 
-uint64_t TcpConnection::BeginTag() { return window_.Begin(); }
+uint64_t TcpConnection::BeginTag(size_t n) { return window_.Begin(n); }
 
 bool TcpConnection::InjectFault(uint64_t tag, const Callback& cb) {
   if (!options_.faults_on) {
@@ -109,81 +110,123 @@ bool TcpConnection::InjectFault(uint64_t tag, const Callback& cb) {
 }
 
 void TcpConnection::Submit(std::string frame, uint64_t tag, Callback cb) {
-  if (InjectFault(tag, cb)) {
+  Submission one{std::move(frame), tag, std::move(cb)};
+  SubmitBatch(std::span<Submission>(&one, 1));
+}
+
+void TcpConnection::SubmitBatch(std::span<Submission> batch) {
+  // Fault verdicts in submission order; a faulted frame has completed
+  // inline, and the survivors close up at the front.
+  size_t live = 0;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (InjectFault(batch[i].tag, batch[i].cb)) {
+      continue;
+    }
+    if (live != i) {
+      batch[live] = std::move(batch[i]);
+    }
+    ++live;
+  }
+  batch = batch.first(live);
+  if (batch.empty()) {
     return;
   }
-  if (!alive_.load(std::memory_order_acquire)) {
-    window_.Complete(tag, Status::Ok());
-    cb(TransportError(Unavailable("connection closed")));
-    return;
-  }
+  // Registered before the write: a response may beat WriteFull's return.
+  // FailAllPending clears alive_ before it takes pending_mu_, so checking
+  // under the lock means a frame is either registered in time for the
+  // reader to fail it or sees the connection dead here.
+  bool dead = false;
   {
     std::lock_guard<std::mutex> lock(pending_mu_);
-    pending_.emplace(tag, std::move(cb));
-  }
-  // Adaptive coalescing: a busy pipe (≥ min_inflight outstanding) buffers
-  // the frame for the flusher; an idle one writes it now. The buffered
-  // frame's RPC is already counted in the window, so its completion is
-  // covered by FailAllPending if the connection dies before the flush.
-  if (options_.coalesce_min_inflight > 0 &&
-      window_.in_flight() >= options_.coalesce_min_inflight) {
-    std::lock_guard<std::mutex> lock(write_mu_);
-    if (wbuf_.empty()) {
-      wbuf_deadline_ = std::chrono::steady_clock::now() +
-                       std::chrono::microseconds(options_.coalesce_window_us);
+    dead = !alive_.load(std::memory_order_acquire);
+    if (!dead) {
+      for (Submission& s : batch) {
+        pending_.emplace(s.tag, std::move(s.cb));
+      }
     }
-    wbuf_.append(frame);
-    coalesced_frames_.fetch_add(1, std::memory_order_relaxed);
-    if (wbuf_.size() >= options_.coalesce_max_bytes) {
-      FlushBufferLocked();
-    } else {
-      flush_cv_.notify_one();
+  }
+  if (dead) {
+    for (Submission& s : batch) {
+      window_.Complete(s.tag, Status::Ok());
+      s.cb(TransportError(Unavailable("connection closed")));
     }
     return;
   }
+  // Adaptive coalescing: a lone frame on a busy pipe (≥ min_inflight
+  // outstanding) buffers for the flusher. It is already registered, so
+  // FailAllPending covers it if the connection dies before the flush.
+  const bool buffer = batch.size() == 1 &&
+                      options_.coalesce_min_inflight > 0 &&
+                      window_.in_flight() >= options_.coalesce_min_inflight;
   Status st;
   {
     std::lock_guard<std::mutex> lock(write_mu_);
-    if (!wbuf_.empty()) {
-      // Piggyback any buffered frames so they never queue behind an
-      // immediate write.
-      wbuf_.append(frame);
-      FlushBufferLocked();
-      return;
+    if (buffer) {
+      if (wbuf_.empty()) {
+        wbuf_deadline_ = std::chrono::steady_clock::now() +
+                         std::chrono::microseconds(options_.coalesce_window_us);
+      }
+      wbuf_.append(batch[0].frame);
+      coalesced_frames_.fetch_add(1, std::memory_order_relaxed);
+      if (wbuf_.size() < options_.coalesce_max_bytes) {
+        flush_cv_.notify_one();
+        return;
+      }
+      st = FlushBufferLocked();
+    } else if (batch.size() == 1 && wbuf_.empty()) {
+      st = WriteLocked(batch[0].frame.data(), batch[0].frame.size());
+    } else {
+      // One write for the whole batch, behind any buffered frames so none
+      // queues behind an immediate write.
+      if (batch.size() > 1) {
+        coalesced_frames_.fetch_add(batch.size(), std::memory_order_relaxed);
+      }
+      for (const Submission& s : batch) {
+        wbuf_.append(s.frame);
+      }
+      st = FlushBufferLocked();
     }
-    st = WriteFull(fd_.get(), frame.data(), frame.size());
   }
-  if (!st.ok()) {
-    Callback taken;
-    {
-      std::lock_guard<std::mutex> lock(pending_mu_);
-      auto it = pending_.find(tag);
+  if (st.ok()) {
+    return;
+  }
+  // Fail exactly this batch's frames that are still pending; the reader may
+  // already have failed some of them via FailAllPending.
+  std::vector<std::pair<uint64_t, Callback>> taken;
+  {
+    std::lock_guard<std::mutex> lock(pending_mu_);
+    for (const Submission& s : batch) {
+      auto it = pending_.find(s.tag);
       if (it != pending_.end()) {
-        taken = std::move(it->second);
+        taken.emplace_back(s.tag, std::move(it->second));
         pending_.erase(it);
       }
     }
-    // The reader may have already failed it via FailAllPending.
-    if (taken) {
-      window_.Complete(tag, Status::Ok());
-      taken(TransportError(Unavailable("write failed: " + st.message())));
-    }
+  }
+  const Status why = Unavailable("write failed: " + st.message());
+  for (auto& [tag, cb] : taken) {
+    window_.Complete(tag, Status::Ok());
+    cb(TransportError(why));
   }
 }
 
-void TcpConnection::FlushBufferLocked() {
-  if (wbuf_.empty()) {
-    return;
-  }
-  const Status st = WriteFull(fd_.get(), wbuf_.data(), wbuf_.size());
-  wbuf_.clear();
-  coalesced_flushes_.fetch_add(1, std::memory_order_relaxed);
+Status TcpConnection::WriteLocked(const char* data, size_t len) {
+  Status st = WriteFull(fd_.get(), data, len);
   if (!st.ok()) {
-    // The buffer held frames for many tags; tear the connection down so the
-    // reader's FailAllPending completes every one of them.
     alive_.store(false, std::memory_order_release);
     ::shutdown(fd_.get(), SHUT_RDWR);
   }
+  return st;
+}
+
+Status TcpConnection::FlushBufferLocked() {
+  if (wbuf_.empty()) {
+    return Status::Ok();
+  }
+  Status st = WriteLocked(wbuf_.data(), wbuf_.size());
+  wbuf_.clear();
+  coalesced_flushes_.fetch_add(1, std::memory_order_relaxed);
+  return st;
 }
 
 void TcpConnection::FlusherLoop() {
@@ -200,9 +243,10 @@ void TcpConnection::FlusherLoop() {
       flush_cv_.wait_until(lock, deadline);
       continue;  // Re-evaluate: the buffer may have been flushed already.
     }
-    FlushBufferLocked();
+    // A failed flush tears the connection down; the reader fails the tags.
+    (void)FlushBufferLocked();
   }
-  FlushBufferLocked();  // Drain the tail so no submitted frame is stranded.
+  (void)FlushBufferLocked();  // Drain the tail so no frame is stranded.
 }
 
 WireReply TcpConnection::Call(std::string frame, uint64_t tag) {

@@ -1,17 +1,21 @@
 // Pooled async TCP client for the binary wire protocol (DESIGN.md §12).
 //
-// One TcpConnection multiplexes many RPCs: BeginTag() reserves a window
-// slot (backpressure at `max_in_flight`), Submit(frame, tag, cb) writes the
-// frame and registers the completion, and a dedicated reader thread matches
-// response frames back to callbacks BY TAG — arrival order is irrelevant,
-// which is what lets the server (or the network) reorder freely. Call() is
-// the synchronous convenience on top.
+// One TcpConnection multiplexes many RPCs: BeginTag(n) reserves n window
+// slots at once (backpressure at `max_in_flight`), SubmitBatch(frames)
+// registers every frame's completion and sends them all in ONE socket
+// write, and a dedicated reader thread matches response frames back to
+// callbacks BY TAG — arrival order is irrelevant, which is what lets the
+// server (or the network) reorder freely. Submit(frame, tag, cb) is a batch
+// of one and Call() the synchronous convenience on top; there is no other
+// write path.
 //
 // Fault parity with the modeled transport: a FaultPlan installed on the
-// connection is evaluated per Submit at the frame layer — drops synthesize
-// kTimeout without sending, errors synthesize kUnavailable, delays stall
-// the send, and outage windows fail fast — so the PR 5 retry/failover layer
-// masks wire faults exactly as it masks modeled ones.
+// connection is evaluated per frame, in submission order, at the frame
+// layer — drops synthesize kTimeout without sending, errors synthesize
+// kUnavailable, delays stall the send, and outage windows fail fast — so
+// the retry/failover layer (DESIGN.md §10) masks wire faults exactly as it
+// masks modeled ones, and a seeded plan draws the same verdicts whether
+// frames arrive one by one or in batches.
 
 #ifndef SRC_NET_TCP_CLIENT_H_
 #define SRC_NET_TCP_CLIENT_H_
@@ -23,6 +27,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -57,13 +62,23 @@ class TcpConnection {
  public:
   using Callback = std::function<void(WireReply)>;
 
+  // One frame of a batch: `frame` encodes `tag`, and `cb` runs exactly once
+  // with its reply.
+  struct Submission {
+    std::string frame;
+    uint64_t tag = 0;
+    Callback cb;
+  };
+
   struct Options {
     size_t max_in_flight = 64;  // Window bound for BeginTag (0 = unbounded).
-    // Adaptive send coalescing: with at least `coalesce_min_inflight` RPCs
-    // outstanding the pipe is busy anyway, so frames buffer up to
-    // `coalesce_window_us` (or until `coalesce_max_bytes` accumulate) and
-    // leave in one write; below the threshold every frame is written
-    // immediately — an idle pipe never waits. 0 disables buffering.
+    // Adaptive send coalescing for single frames: with at least
+    // `coalesce_min_inflight` RPCs outstanding the pipe is busy anyway, so a
+    // lone frame buffers up to `coalesce_window_us` (or until
+    // `coalesce_max_bytes` accumulate) and leaves in one write; below the
+    // threshold it is written immediately — an idle pipe never waits. 0
+    // disables buffering. Batches of two or more never wait: they are
+    // written at once and carry any buffered frames out with them.
     size_t coalesce_min_inflight = 0;
     uint64_t coalesce_window_us = 40;
     size_t coalesce_max_bytes = 256 * 1024;
@@ -90,15 +105,27 @@ class TcpConnection {
   TcpConnection(const TcpConnection&) = delete;
   TcpConnection& operator=(const TcpConnection&) = delete;
 
-  // Reserves a window slot and returns the tag to encode into the frame.
-  // Blocks while `max_in_flight` RPCs are outstanding.
-  uint64_t BeginTag();
+  // Reserves `n` window slots at once and returns the first of `n`
+  // consecutive tags to encode into the frames. Blocks until `n` slots are
+  // free; 1 <= n <= window_depth() (any n when unbounded). Every reserved
+  // tag must be submitted exactly once.
+  uint64_t BeginTag(size_t n = 1);
 
-  // Sends one encoded frame (tag must match the frame's tag field) and
-  // registers `cb` to run — on the reader thread — when the tagged response
-  // arrives. Fault-plan verdicts complete the callback inline without
-  // touching the socket. Every BeginTag() must be followed by exactly one
-  // Submit with its tag.
+  // The `max_in_flight` bound BeginTag enforces (0 = unbounded).
+  size_t window_depth() const { return window_.depth(); }
+
+  // Sends the encoded frames (each tag must match its frame's tag field)
+  // and registers each callback to run — on the reader thread — when its
+  // tagged response arrives. Each frame first draws its fault-plan verdict,
+  // in order; a faulted frame completes inline and is left out of the
+  // write. The survivors are registered, then written together in one
+  // socket write that also carries out any buffered frames. If the write
+  // fails, the frames still pending complete with kUnavailable (the reader
+  // may already have failed some) and the connection is torn down.
+  // Callbacks are moved out of `batch`.
+  void SubmitBatch(std::span<Submission> batch);
+
+  // A batch of one; a lone frame may wait in the coalesce buffer.
   void Submit(std::string frame, uint64_t tag, Callback cb);
 
   // Synchronous round trip: BeginTag is assumed already called by the
@@ -117,8 +144,9 @@ class TcpConnection {
   uint64_t fault_delays() const { return fault_delays_.load(); }
   uint64_t fault_outages() const { return fault_outages_.load(); }
 
-  // Coalescing diagnostics: frames that took the buffered path, and the
-  // writes that flushed them (frames/flushes = achieved batching factor).
+  // Coalescing diagnostics: frames that shared a write (buffered single
+  // frames, and every frame of a batch of two or more), and the writes that
+  // carried them (frames/flushes = achieved batching factor).
   uint64_t coalesced_frames() const { return coalesced_frames_.load(); }
   uint64_t coalesced_flushes() const { return coalesced_flushes_.load(); }
 
@@ -127,10 +155,13 @@ class TcpConnection {
 
   void ReaderLoop();
   void FlusherLoop();
-  // Writes the coalesce buffer; caller holds write_mu_. On failure the
-  // connection is torn down (shutdown + alive_=false) so the reader fails
-  // every pending tag — including the buffered ones.
-  void FlushBufferLocked();
+  // Writes `len` bytes; caller holds write_mu_. On failure the connection
+  // is torn down (shutdown + alive_=false): the stream may hold a partial
+  // frame, and the reader's FailAllPending completes every pending tag —
+  // including buffered frames of other submitters.
+  Status WriteLocked(const char* data, size_t len);
+  // Writes and clears the coalesce buffer; caller holds write_mu_.
+  Status FlushBufferLocked();
   void FailAllPending(const Status& why);
   // Evaluates the fault plan for one submission. Returns true when the
   // submission was consumed (callback already completed); may sleep for

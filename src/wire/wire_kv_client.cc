@@ -1,5 +1,6 @@
 #include "src/wire/wire_kv_client.h"
 
+#include <algorithm>
 #include <condition_variable>
 #include <mutex>
 
@@ -10,7 +11,6 @@ namespace jiffy {
 namespace {
 
 constexpr size_t kNoRoute = static_cast<size_t>(-1);
-constexpr int kMaxStaleRounds = 4;
 
 Status CodeStatus(StatusCode code, const char* what) {
   if (code == StatusCode::kOk) {
@@ -212,7 +212,15 @@ void WireKvClient::Run(
     pending[i] = i;
   }
 
-  for (int round = 0; round < kMaxStaleRounds && !pending.empty(); ++round) {
+  // Stale rounds wait out a split whose map publish is still pending, up to
+  // the retry policy's op_deadline (retry.h), backing off between rounds.
+  TimeNs retry_start = -1;
+  for (int round = 0; !pending.empty(); ++round) {
+    if (round > 0 &&
+        RetriesExpired(options_.retry.op_deadline, &retry_start)) {
+      break;
+    }
+    BackoffRetry(round);
     // --- Route ------------------------------------------------------------
     std::vector<Group> groups;
     std::vector<size_t> stale;
@@ -234,57 +242,90 @@ void WireKvClient::Run(
       }
     }
 
-    // --- First attempt: every group in flight concurrently ----------------
-    // Encode + Submit without waiting; completions land out of order and
-    // are matched by tag inside each connection.
-    std::vector<WireReply> replies(groups.size());
+    // --- First flight: one socket write per connection -----------------------
+    // The groups bound for one connection leave in one SubmitBatch under
+    // consecutive tags; completions land out of order, matched by tag. A
+    // chunk reserves all of its window slots at once and is submitted
+    // before the next chunk reserves, so the caller never holds unsent tags
+    // while it blocks on a full window. The last completion wakes the
+    // caller, once. Callbacks capture only a pointer to this state and the
+    // group index, which std::function stores without allocating.
+    struct FirstFlight {
+      std::vector<WireReply> replies;
+      std::mutex mu;
+      std::condition_variable cv;
+      size_t remaining = 0;
+    } flight;
+    flight.replies.resize(groups.size());
+    std::vector<WireReply>& replies = flight.replies;
     std::vector<bool> submitted(groups.size(), false);
     {
-      std::mutex done_mu;
-      std::condition_variable done_cv;
-      size_t remaining = 0;
+      std::vector<std::vector<size_t>> by_endpoint(map_.endpoints.size());
       for (size_t g = 0; g < groups.size(); ++g) {
-        const WireRange& range = map_.ranges[groups[g].range];
-        const WireEndpoint& ep = map_.endpoints[range.endpoint];
-        auto conn = pool_.Get(ep.host, ep.port, ep.server_id);
-        if (!conn.ok()) {
-          replies[g].transport = conn.status();
+        by_endpoint[map_.ranges[groups[g].range].endpoint].push_back(g);
+      }
+      std::vector<TcpConnection::Submission> batch;
+      for (size_t e = 0; e < by_endpoint.size(); ++e) {
+        const std::vector<size_t>& mine = by_endpoint[e];
+        if (mine.empty()) {
           continue;
         }
-        const uint64_t tag = (*conn)->BeginTag();
-        std::string frame;
-        if (op == WireOp::kMultiPut) {
-          std::vector<std::pair<std::string_view, std::string_view>> ops;
-          ops.reserve(groups[g].items.size());
-          for (size_t i : groups[g].items) {
-            ops.push_back((*pairs)[i]);
+        const WireEndpoint& ep = map_.endpoints[e];
+        auto conn = pool_.Get(ep.host, ep.port, ep.server_id);
+        if (!conn.ok()) {
+          for (size_t g : mine) {
+            replies[g].transport = conn.status();
           }
-          EncodeMultiPutRequest(tag, range.block, ops, &frame);
-        } else {
-          std::vector<std::string_view> ops;
-          ops.reserve(groups[g].items.size());
-          for (size_t i : groups[g].items) {
-            ops.push_back(keys[i]);
+          continue;
+        }
+        const size_t depth = (*conn)->window_depth();
+        for (size_t at = 0; at < mine.size();) {
+          const size_t chunk = depth == 0
+                                   ? mine.size() - at
+                                   : std::min(depth, mine.size() - at);
+          const uint64_t first_tag = (*conn)->BeginTag(chunk);
+          batch.resize(chunk);
+          for (size_t k = 0; k < chunk; ++k) {
+            const size_t g = mine[at + k];
+            const uint64_t block = map_.ranges[groups[g].range].block;
+            TcpConnection::Submission& sub = batch[k];
+            sub.tag = first_tag + k;
+            sub.frame.clear();
+            if (op == WireOp::kMultiPut) {
+              std::vector<std::pair<std::string_view, std::string_view>> ops;
+              ops.reserve(groups[g].items.size());
+              for (size_t i : groups[g].items) {
+                ops.push_back((*pairs)[i]);
+              }
+              EncodeMultiPutRequest(sub.tag, block, ops, &sub.frame);
+            } else {
+              std::vector<std::string_view> ops;
+              ops.reserve(groups[g].items.size());
+              for (size_t i : groups[g].items) {
+                ops.push_back(keys[i]);
+              }
+              EncodeKeysRequest(op, sub.tag, block, ops, &sub.frame);
+            }
+            sub.cb = [f = &flight, g](WireReply r) {
+              std::lock_guard<std::mutex> lock(f->mu);
+              f->replies[g] = std::move(r);
+              if (--f->remaining == 0) {
+                f->cv.notify_one();
+              }
+            };
+            submitted[g] = true;
           }
-          EncodeKeysRequest(op, tag, range.block, ops, &frame);
+          rpcs_.fetch_add(chunk, std::memory_order_relaxed);
+          {
+            std::lock_guard<std::mutex> lock(flight.mu);
+            flight.remaining += chunk;
+          }
+          (*conn)->SubmitBatch(batch);
+          at += chunk;
         }
-        rpcs_.fetch_add(1, std::memory_order_relaxed);
-        submitted[g] = true;
-        {
-          std::lock_guard<std::mutex> lock(done_mu);
-          ++remaining;
-        }
-        (*conn)->Submit(std::move(frame), tag,
-                        [&replies, &done_mu, &done_cv, &remaining,
-                         g](WireReply r) {
-                          std::lock_guard<std::mutex> lock(done_mu);
-                          replies[g] = std::move(r);
-                          --remaining;
-                          done_cv.notify_all();
-                        });
       }
-      std::unique_lock<std::mutex> lock(done_mu);
-      done_cv.wait(lock, [&remaining] { return remaining == 0; });
+      std::unique_lock<std::mutex> lock(flight.mu);
+      flight.cv.wait(lock, [&flight] { return flight.remaining == 0; });
     }
 
     // --- Retry loop for groups whose first flight failed -------------------

@@ -1,15 +1,19 @@
 // KV client speaking the binary wire protocol (DESIGN.md §12).
 //
 // WireKvClient is the socket-native sibling of KvClient: keys hash to
-// slots, a WireMap routes slot ranges to (endpoint, block), operations for
-// the same block coalesce into one frame, and every group's frame is
-// submitted ASYNCHRONOUSLY on the pooled per-endpoint connection — groups
-// for different blocks overlap on the wire, completions match back by tag.
-// PR 5's retry layer runs unchanged on top: transport-level kTimeout /
-// kUnavailable verdicts (real connection failures or FaultPlan-injected
-// ones) are retried per group with exponential backoff on the real clock,
-// and per-item kStaleMetadata answers trigger a map refresh + re-route of
-// only the displaced items when a refresher is installed.
+// slots, a WireMap routes slot ranges to (endpoint, block), and operations
+// for the same block coalesce into one frame. A call's frames for one
+// pooled connection leave together in ONE socket write
+// (TcpConnection::SubmitBatch), in chunks of at most the connection's
+// window, each chunk's tags reserved at once; completions match back by
+// tag, and the caller is woken once, by the last. The retry layer
+// (DESIGN.md §10) runs on top: transport-level kTimeout / kUnavailable
+// verdicts (real connection failures or FaultPlan-injected ones) are
+// retried per group with exponential backoff on the real clock, and
+// per-item kStaleMetadata answers trigger a map refresh + re-route of only
+// the displaced items when a refresher is installed — round after round,
+// with backoff, until the retry policy's op_deadline passes (a split's
+// commit may still be pending).
 //
 // Repartitioning over the wire is out of scope for this layer: the WireMap
 // is a routing snapshot, refreshed as a whole; wire clients never split or
@@ -74,11 +78,12 @@ class WireKvClient {
   struct Options {
     RetryPolicy retry;
     size_t max_in_flight = 64;  // Per pooled connection.
-    // Adaptive send coalescing on the pooled connections (tcp_client.h):
-    // once ≥ `coalesce_min_inflight` RPCs are outstanding on a connection,
-    // frames batch up to `coalesce_window_us` and leave in one write; an
-    // idle pipe always flushes immediately. 0 = off (every frame is its
-    // own write, the PR-8 behavior).
+    // Timer coalescing of lone frames (a one-group call, a retry, a Ping)
+    // on the pooled connections (tcp_client.h): once ≥
+    // `coalesce_min_inflight` RPCs are outstanding on a connection, a lone
+    // frame waits up to `coalesce_window_us` to share a write; an idle pipe
+    // always writes immediately. 0 = off. A batch of two or more frames
+    // never waits.
     size_t coalesce_min_inflight = 16;
     uint64_t coalesce_window_us = 40;
     // SO_SNDBUF / SO_RCVBUF for dialed connections; 0 = kernel default.
@@ -104,7 +109,7 @@ class WireKvClient {
   Status Delete(std::string_view key);
 
   // Batched ops, aligned index-for-index with the input. Groups for
-  // distinct blocks are in flight concurrently on the pooled connections.
+  // distinct blocks are in flight together, one write per connection.
   std::vector<Status> MultiPut(
       const std::vector<std::pair<std::string_view, std::string_view>>& pairs);
   WireValues MultiGet(const std::vector<std::string_view>& keys);
@@ -122,9 +127,10 @@ class WireKvClient {
  private:
   struct Group;  // One per-block frame's worth of items.
 
-  // Builds groups, submits every group's frame concurrently, waits, retries
-  // retryable transport failures, and merges per-item codes. `payload` is
-  // non-null for MultiGet — receives each item's value view anchored in
+  // Builds groups, submits every group's frame in one batch per
+  // connection, waits once, retries retryable transport failures, merges
+  // per-item codes, and re-routes stale items until op_deadline. `payload`
+  // is non-null for MultiGet — receives each item's value view anchored in
   // `bufs`.
   void Run(WireOp op,
            const std::vector<std::string_view>& keys,

@@ -176,34 +176,6 @@ TEST(KvShardTest, SplitOffMovesUpperSlots) {
   EXPECT_NEAR(static_cast<double>(n), 500.0, 120.0);
 }
 
-TEST(KvShardTest, AbsorbExtendsRange) {
-  KvShard left(1 << 16, 0, 512, 1024);
-  KvShard right(1 << 16, 512, 1024, 1024);
-  for (int i = 0; i < 200; ++i) {
-    const std::string key = "k" + std::to_string(i);
-    if (KvSlotOf(key, 1024) < 512) {
-      ASSERT_TRUE(left.Put(key, "v").ok());
-    } else {
-      ASSERT_TRUE(right.Put(key, "v").ok());
-    }
-  }
-  std::vector<std::pair<std::string, std::string>> pairs;
-  right.SplitOff(512, &pairs);  // Extract everything.
-  ASSERT_TRUE(left.Absorb(512, 1024, &pairs).ok());
-  EXPECT_EQ(left.slot_hi(), 1024u);
-  EXPECT_EQ(left.pair_count(), 200u);
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_TRUE(left.Get("k" + std::to_string(i)).ok()) << i;
-  }
-}
-
-TEST(KvShardTest, AbsorbRejectsNonAdjacent) {
-  KvShard shard(1 << 16, 0, 100, 1024);
-  std::vector<std::pair<std::string, std::string>> none;
-  EXPECT_EQ(shard.Absorb(500, 600, &none).code(),
-            StatusCode::kInvalidArgument);
-}
-
 TEST(KvShardTest, SerializeRoundTrip) {
   KvShard shard = FullRangeShard();
   for (int i = 0; i < 100; ++i) {

@@ -20,6 +20,8 @@
 #include "src/client/jiffy_client.h"
 #include "src/common/random.h"
 #include "src/ds/kv_content.h"
+#include "src/wire/gateway.h"
+#include "src/wire/wire_kv_client.h"
 
 namespace jiffy {
 namespace {
@@ -323,6 +325,17 @@ class KvStaleWindowConcurrencyTest : public ::testing::Test {
     shard->FinishMigration();
   }
 
+  // Phase 6: publishes the split in the controller's map.
+  void CommitSplit() {
+    PartitionEntry fresh;
+    fresh.block = dest_;
+    fresh.lo = mid_;
+    fresh.hi = hi_;
+    EXPECT_TRUE(cluster_->ControllerFor("job")
+                    ->CommitSplit("job", "kv", src_, lo_, mid_, fresh)
+                    .ok());
+  }
+
   // Publishes the split once the reader has made more than 64 control
   // exchanges (map refreshes) or has returned, whichever comes first.
   std::thread CommitAfterRefreshes(const std::atomic<bool>* reader_done) {
@@ -333,13 +346,7 @@ class KvStaleWindowConcurrencyTest : public ::testing::Test {
              !reader_done->load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
-      PartitionEntry fresh;
-      fresh.block = dest_;
-      fresh.lo = mid_;
-      fresh.hi = hi_;
-      EXPECT_TRUE(cluster_->ControllerFor("job")
-                      ->CommitSplit("job", "kv", src_, lo_, mid_, fresh)
-                      .ok());
+      CommitSplit();
     });
   }
 
@@ -381,6 +388,65 @@ TEST_F(KvStaleWindowConcurrencyTest, MultiGetPinnedWaitsOutPendingCommit) {
         << keys_[i] << ": " << pinned.values[i].status();
     EXPECT_EQ(*pinned.values[i], "value-" + keys_[i]);
   }
+}
+
+// The same window over the wire (DESIGN.md §12): a WireGateway serves the
+// blocks, and the WireKvClient's map refresher returns the pre-split map
+// until its fifth call, which commits the split first. The reader must keep
+// refreshing, bounded by op_deadline, rather than give up after a fixed
+// number of stale rounds. The refresher runs on the reader's thread, so the
+// test needs no threads and no sleeps.
+class WireStaleWindowTest : public KvStaleWindowConcurrencyTest {
+ protected:
+  static constexpr int kCommitOnRefresh = 5;
+
+  void SetUp() override {
+    KvStaleWindowConcurrencyTest::SetUp();
+    gateway_ = std::make_unique<WireGateway>(cluster_.get());
+    ASSERT_TRUE(gateway_->Start().ok());
+  }
+
+  void TearDown() override { gateway_->Stop(); }
+
+  WireKvClient StaleMapClient() {
+    WireKvClient::Options options;
+    options.map_refresher = [this]() -> Result<WireMap> {
+      if (++refreshes_ == kCommitOnRefresh) {
+        CommitSplit();
+      }
+      JIFFY_RETURN_IF_ERROR(kv_->RefreshMap());
+      return gateway_->MapFor(kv_->CachedMap());
+    };
+    return WireKvClient(gateway_->MapFor(kv_->CachedMap()),
+                        std::move(options));
+  }
+
+  std::unique_ptr<WireGateway> gateway_;
+  int refreshes_ = 0;
+};
+
+TEST_F(WireStaleWindowTest, GetWaitsOutPendingCommit) {
+  SplitWithoutCommit();
+  const std::string& moved = keys_.back();
+  ASSERT_GE(KvSlotOf(moved, cluster_->config().kv_hash_slots), mid_);
+  WireKvClient wire = StaleMapClient();
+  Result<std::string> got = wire.Get(moved);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(*got, "value-" + moved);
+  EXPECT_EQ(refreshes_, kCommitOnRefresh);
+}
+
+TEST_F(WireStaleWindowTest, MultiGetWaitsOutPendingCommit) {
+  SplitWithoutCommit();
+  const std::vector<std::string_view> views(keys_.begin(), keys_.end());
+  WireKvClient wire = StaleMapClient();
+  WireValues got = wire.MultiGet(views);
+  ASSERT_EQ(got.size(), keys_.size());
+  for (size_t i = 0; i < keys_.size(); ++i) {
+    ASSERT_TRUE(got[i].ok()) << keys_[i] << ": " << got[i].status();
+    EXPECT_EQ(*got[i], "value-" + keys_[i]);
+  }
+  EXPECT_EQ(refreshes_, kCommitOnRefresh);
 }
 
 }  // namespace

@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -871,6 +873,205 @@ TEST(WireCoalescing, IdlePipeWritesImmediately) {
   }
   EXPECT_EQ((*conn)->coalesced_frames(), 0u);
   server.Stop();
+}
+
+// --- Batched submission (one write per call per connection) -----------------
+
+class WireBatchTest : public WireGatewayTest {
+ protected:
+  // Opens a KV of 16 blocks and returns its wire map, one range per block.
+  WireMap SixteenBlockMap() {
+    EXPECT_TRUE(client_->CreateAddrPrefix("/job/kv16", {}).ok());
+    auto kv = client_->OpenKv("/job/kv16", 16 * (1 << 20));
+    EXPECT_TRUE(kv.ok()) << kv.status();
+    kv16_ = std::move(*kv);
+    WireMap map = gateway_->MapFor(kv16_->CachedMap());
+    EXPECT_EQ(map.ranges.size(), 16u);
+    return map;
+  }
+
+  std::unique_ptr<KvClient> kv16_;
+};
+
+// A batch draws each frame's fault verdict in submission order, exactly as
+// the same frames submitted one by one would: faulted frames complete
+// inline, before SubmitBatch returns, and the survivors leave in one write.
+TEST_F(WireBatchTest, BatchDrawsPerFrameFaultVerdictsAndWritesOnce) {
+  TcpServer server(EchoHandler, TcpServer::Options());
+  ASSERT_TRUE(server.Start().ok());
+  TcpConnection::Options copts;
+  copts.faults.error_prob = 0.4;
+  copts.faults.seed = 3;
+  copts.faults_on = true;
+
+  constexpr size_t kFrames = 8;
+  struct Outcome {
+    std::vector<StatusCode> codes;
+    size_t done_inline = 0;
+    uint64_t frames = 0;
+    uint64_t flushes = 0;
+  };
+  auto run = [&](bool batched) {
+    Outcome out;
+    auto conn = TcpConnection::Connect("127.0.0.1", server.port(), copts);
+    EXPECT_TRUE(conn.ok());
+    if (!conn.ok()) {
+      return out;
+    }
+    std::mutex mu;
+    std::condition_variable cv;
+    std::vector<std::optional<StatusCode>> codes(kFrames);
+    size_t done = 0;
+    auto callback = [&](size_t i) {
+      return [&, i](WireReply reply) {
+        std::lock_guard<std::mutex> lock(mu);
+        codes[i] = reply.transport.ok() ? reply.overall
+                                        : reply.transport.code();
+        if (reply.transport.ok()) {
+          EXPECT_EQ(reply.op, WireOp::kPing);
+        } else {
+          EXPECT_EQ(reply.transport.message(), "injected error");
+        }
+        ++done;
+        cv.notify_all();
+      };
+    };
+    if (batched) {
+      const uint64_t first = (*conn)->BeginTag(kFrames);
+      std::vector<TcpConnection::Submission> batch(kFrames);
+      for (size_t i = 0; i < kFrames; ++i) {
+        batch[i].tag = first + i;
+        EncodePingRequest(batch[i].tag, &batch[i].frame);
+        batch[i].cb = callback(i);
+      }
+      (*conn)->SubmitBatch(batch);
+      std::lock_guard<std::mutex> lock(mu);
+      out.done_inline = done;
+    } else {
+      for (size_t i = 0; i < kFrames; ++i) {
+        const uint64_t tag = (*conn)->BeginTag();
+        std::string frame;
+        EncodePingRequest(tag, &frame);
+        (*conn)->Submit(std::move(frame), tag, callback(i));
+      }
+    }
+    std::unique_lock<std::mutex> lock(mu);
+    EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
+                            [&] { return done == kFrames; }));
+    for (const auto& code : codes) {
+      out.codes.push_back(code.value_or(StatusCode::kInternal));
+    }
+    out.frames = (*conn)->coalesced_frames();
+    out.flushes = (*conn)->coalesced_flushes();
+    return out;
+  };
+
+  const Outcome single = run(false);
+  const Outcome batched = run(true);
+  EXPECT_EQ(batched.codes, single.codes);
+  const size_t faulted = static_cast<size_t>(std::count(
+      batched.codes.begin(), batched.codes.end(), StatusCode::kUnavailable));
+  const size_t ok = static_cast<size_t>(
+      std::count(batched.codes.begin(), batched.codes.end(), StatusCode::kOk));
+  // The seed faults some frames and leaves at least two to share a write.
+  ASSERT_GT(faulted, 0u);
+  ASSERT_GE(ok, 2u);
+  EXPECT_EQ(faulted + ok, kFrames);
+  EXPECT_GE(batched.done_inline, faulted);
+  EXPECT_EQ(batched.flushes, 1u);
+  EXPECT_EQ(batched.frames, ok);
+  EXPECT_EQ(single.flushes, 0u);
+  EXPECT_EQ(single.frames, 0u);
+  server.Stop();
+}
+
+// A 64-key batch over 16 blocks, with a window of 4, leaves in chunks of at
+// most 4 frames; every value comes back index-aligned.
+TEST_F(WireBatchTest, ChunksToTheWindowAndAlignsIndexForIndex) {
+  const WireMap map = SixteenBlockMap();
+  WireKvClient::Options options;
+  options.max_in_flight = 4;
+  WireKvClient wire(map, std::move(options));
+
+  std::vector<std::string> keys, values;
+  std::vector<std::pair<std::string_view, std::string_view>> pairs;
+  std::vector<std::string_view> key_views;
+  for (int i = 0; i < 64; ++i) {
+    keys.push_back("chunk-" + std::to_string(i));
+    values.push_back("value-" + std::to_string(i * 11));
+  }
+  for (int i = 0; i < 64; ++i) {
+    pairs.emplace_back(keys[i], values[i]);
+    key_views.emplace_back(keys[i]);
+  }
+  for (const Status& st : wire.MultiPut(pairs)) {
+    ASSERT_TRUE(st.ok()) << st.ToString();
+  }
+  // More groups than the window: the call needed several chunks.
+  EXPECT_GT(wire.rpcs_sent(), 4u);
+  WireValues got = wire.MultiGet(key_views);
+  ASSERT_EQ(got.size(), 64u);
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(got[i].ok()) << "item " << i << ": " << got[i].status();
+    EXPECT_EQ(*got[i], values[i]);
+  }
+  const WireEndpoint& ep = wire.map().endpoints[0];
+  auto conn = wire.pool()->Get(ep.host, ep.port, ep.server_id);
+  ASSERT_TRUE(conn.ok());
+  EXPECT_EQ((*conn)->max_in_flight_seen(), 4u);
+}
+
+// Four threads share one client and its one connection, each call needing
+// two window-sized chunks. A caller that held reserved tags while it
+// blocked for more could deadlock against another doing the same; a chunk
+// is reserved whole and sent before the next is reserved.
+TEST_F(WireBatchTest, SharedClientChunksNeverHoldAndWait) {
+  const WireMap map = SixteenBlockMap();
+  WireKvClient::Options options;
+  options.max_in_flight = 8;
+  WireKvClient wire(map, std::move(options));
+
+  // Per thread, one key in each of the 16 blocks: every MultiGet is 16
+  // groups.
+  constexpr int kThreads = 4;
+  constexpr int kCalls = 32;
+  std::vector<std::vector<std::string>> keys(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    std::vector<bool> covered(map.ranges.size(), false);
+    size_t found = 0;
+    for (int i = 0; found < covered.size(); ++i) {
+      std::string key = "shared-" + std::to_string(t) + "-" + std::to_string(i);
+      const size_t r = map.Route(KvSlotOf(key, map.total_slots));
+      ASSERT_NE(r, static_cast<size_t>(-1));
+      if (!covered[r]) {
+        covered[r] = true;
+        ++found;
+        ASSERT_TRUE(kv16_->Put(key, "v:" + key).ok());
+        keys[t].push_back(std::move(key));
+      }
+    }
+  }
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const std::vector<std::string_view> views(keys[t].begin(),
+                                                keys[t].end());
+      for (int c = 0; c < kCalls; ++c) {
+        WireValues got = wire.MultiGet(views);
+        for (size_t i = 0; i < views.size(); ++i) {
+          if (!got[i].ok() || *got[i] != "v:" + keys[t][i]) {
+            failures.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(wire.rpcs_sent(), static_cast<uint64_t>(kThreads) * kCalls * 16);
 }
 
 // --- Pipeline over the completion window -------------------------------------
