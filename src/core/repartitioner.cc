@@ -149,6 +149,7 @@ void Repartitioner::Process(const Hint& hint) {
   Controller* ctl = hooks_.controller(hint.job);
   std::shared_ptr<DsState> state = hooks_.ds_state(hint.job, hint.prefix);
   bool acted = false;
+  Block* split_dest = nullptr;  // Set by a KV split that acted.
   if (ctl != nullptr && state != nullptr) {
     // Same per-DS scaling guard the inline tail/head paths use: losing the
     // race to a client-side grow just drops the hint — traffic re-flags if
@@ -158,7 +159,7 @@ void Repartitioner::Process(const Hint& hint) {
       switch (hint.type) {
         case DsType::kKvStore:
           acted = hint.pressure == Pressure::kOverload
-                      ? HandleKvOverload(hint, ctl, state.get())
+                      ? HandleKvOverload(hint, ctl, state.get(), &split_dest)
                       : HandleKvUnderload(hint, ctl, state.get());
           break;
         case DsType::kQueue:
@@ -178,30 +179,34 @@ void Repartitioner::Process(const Hint& hint) {
   if (block != nullptr) {
     block->ClearRepartitionFlag();
   }
-  // A block that acted and is still over threshold (one split halves the
-  // range, not necessarily the usage) re-queues itself so the system
+  // A split that acted re-queues each half that is still over threshold
+  // (one split halves the range, not necessarily the usage), so the system
   // converges without waiting for the next data-path op. Declined hints are
   // NOT re-queued — that would spin when the action cannot succeed (no free
   // blocks, unsplittable range); the next op re-flags instead.
   if (acted && hint.type == DsType::kKvStore &&
-      hint.pressure == Pressure::kOverload && block != nullptr) {
-    bool still_over = false;
-    {
-      Block::OpLock lock(*block);
-      auto* shard = ContentAs<KvShard>(block->content());
-      still_over = shard != nullptr && shard->slot_span() > 1 &&
-                   static_cast<double>(shard->used_bytes()) >=
-                       config_.repartition_high_threshold *
-                           static_cast<double>(block->capacity());
-    }
-    if (still_over) {
-      Flag(block, hint);
+      hint.pressure == Pressure::kOverload) {
+    for (Block* half : {block, split_dest}) {
+      if (half != nullptr && KvOverThreshold(half)) {
+        Hint again = hint;
+        again.block = half->id();
+        Flag(half, std::move(again));
+      }
     }
   }
 }
 
+bool Repartitioner::KvOverThreshold(Block* block) {
+  Block::OpLock lock(*block);
+  auto* shard = ContentAs<KvShard>(block->content());
+  return shard != nullptr && shard->slot_span() > 1 &&
+         static_cast<double>(shard->used_bytes()) >=
+             config_.repartition_high_threshold *
+                 static_cast<double>(block->capacity());
+}
+
 bool Repartitioner::HandleKvOverload(const Hint& hint, Controller* ctl,
-                                     DsState* state) {
+                                     DsState* state, Block** split_dest) {
   JIFFY_TRACE_SPAN("repartition.kv_split", "repartitioner");
   const TimeNs start = clock_->Now();
   ChargeControl();
@@ -273,6 +278,7 @@ bool Repartitioner::HandleKvOverload(const Hint& hint, Controller* ctl,
   obs::Inc(m_splits_);
   state->splits.fetch_add(1);
   state->repartition_latency.Record(clock_->Now() - start);
+  *split_dest = dest;
   return true;
 }
 

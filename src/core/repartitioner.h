@@ -120,6 +120,10 @@ class Repartitioner {
   void WorkerLoop();
   void Process(const Hint& hint);
 
+  // True when `block`'s KV shard spans more than one slot and holds at
+  // least repartition_high_threshold of the block's capacity.
+  bool KvOverThreshold(Block* block);
+
   // Models the control-plane cost of one repartition event (§6.3), same as
   // the clients' inline tail/head growth: connection setup + two control
   // round trips.
@@ -128,9 +132,11 @@ class Repartitioner {
   // Per-structure handlers. Each returns true when it performed a scaling
   // action and false when it declined (pressure resolved / lost a race /
   // aborted — all benign). The caller clears the block flag afterwards and
-  // re-flags overloaded KV blocks that acted but are still over threshold,
-  // so the system converges without waiting for more traffic.
-  bool HandleKvOverload(const Hint& hint, Controller* ctl, DsState* state);
+  // re-flags both halves of a KV split that are still over threshold, so
+  // the system converges without waiting for more traffic. A split that
+  // acted stores its destination block in `*split_dest`.
+  bool HandleKvOverload(const Hint& hint, Controller* ctl, DsState* state,
+                        Block** split_dest);
   bool HandleKvUnderload(const Hint& hint, Controller* ctl, DsState* state);
   bool HandleQueueOverload(const Hint& hint, Controller* ctl, DsState* state);
   bool HandleQueueUnderload(const Hint& hint, Controller* ctl, DsState* state);

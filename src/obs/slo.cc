@@ -20,16 +20,40 @@ bool InitialSloEnabled() {
   return true;
 }();
 
+// Index of the q-quantile in a sorted window of n > 0 samples.
+size_t QuantileIndex(uint64_t n, double q) {
+  return static_cast<size_t>(q * static_cast<double>(n - 1) + 0.5);
+}
+
 int64_t PercentileOf(std::vector<int64_t>& sorted_or_not, double q) {
   if (sorted_or_not.empty()) {
     return 0;
   }
-  const size_t idx = static_cast<size_t>(
-      q * static_cast<double>(sorted_or_not.size() - 1) + 0.5);
+  const size_t idx = QuantileIndex(sorted_or_not.size(), q);
   std::nth_element(sorted_or_not.begin(),
                    sorted_or_not.begin() + static_cast<ptrdiff_t>(idx),
                    sorted_or_not.end());
   return sorted_or_not[idx];
+}
+
+// The window's p99 sample exceeds the target exactly when the samples above
+// the target fill every sorted position from the p99 index up.
+bool P99Violated(uint64_t over_target, uint64_t n) {
+  return over_target >= n - QuantileIndex(n, 0.99);
+}
+
+// Fraction of the window's error budget left: 1 = untouched, 0 = exhausted.
+double ErrorBudgetRemaining(uint64_t errors, uint64_t n,
+                            double availability) {
+  const double budget = (1.0 - availability) * static_cast<double>(n);
+  if (budget <= 0.0) {
+    return errors == 0 ? 1.0 : 0.0;
+  }
+  return std::max(0.0, 1.0 - static_cast<double>(errors) / budget);
+}
+
+bool BudgetExhausted(double remaining, uint64_t errors) {
+  return remaining <= 0.0 && errors > 0;
 }
 
 }  // namespace
@@ -64,29 +88,39 @@ void SloMonitor::TenantState::Record(DurationNs latency_ns, bool ok) {
   if (!SloEnabled()) {
     return;
   }
+  const Options& opts = owner_->options_;
   TenantHealth alert_snapshot;
   bool fire = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const size_t cap = latencies_.size();
-    latencies_[seq_ % cap] = latency_ns;
-    ok_[seq_ % cap] = ok ? 1 : 0;
+    const size_t slot = seq_ % cap;
+    if (seq_ >= cap) {
+      // The ring overwrites its oldest sample: it leaves the window counts.
+      window_errors_ -= ok_[slot] == 0 ? 1 : 0;
+      window_over_target_ -=
+          latencies_[slot] > opts.target.p99_latency_ns ? 1 : 0;
+    }
+    latencies_[slot] = latency_ns;
+    ok_[slot] = ok ? 1 : 0;
     ++seq_;
     if (!ok) {
       ++total_errors_;
+      ++window_errors_;
     }
-    // Threshold evaluation is amortized: every check_every records. The
-    // first crossing alerts at once; later ones wait out the cooldown.
-    if (seq_ % owner_->options_.check_every == 0) {
-      TenantHealth h = owner_->HealthLocked(this);
-      if (h.p99_violated || h.budget_exhausted) {
-        const TimeNs now = RealClock::Instance()->Now();
-        if (!last_alert_ns_.has_value() ||
-            now - *last_alert_ns_ >= owner_->options_.alert_cooldown) {
-          last_alert_ns_ = now;
-          alert_snapshot = h;
-          fire = true;
-        }
+    window_over_target_ += latency_ns > opts.target.p99_latency_ns ? 1 : 0;
+    const uint64_t n = std::min<uint64_t>(seq_, cap);
+    if (P99Violated(window_over_target_, n) ||
+        BudgetExhausted(ErrorBudgetRemaining(window_errors_, n,
+                                             opts.target.availability),
+                        window_errors_)) {
+      // The first crossing alerts at once; later ones wait out the cooldown.
+      const TimeNs now = RealClock::Instance()->Now();
+      if (!last_alert_ns_.has_value() ||
+          now - *last_alert_ns_ >= opts.alert_cooldown) {
+        last_alert_ns_ = now;
+        alert_snapshot = owner_->HealthLocked(this);
+        fire = true;
       }
     }
   }
@@ -123,6 +157,8 @@ void SloMonitor::SetOptions(const Options& options) {
     state->ok_.assign(options.window_capacity, 0);
     state->seq_ = 0;
     state->total_errors_ = 0;
+    state->window_errors_ = 0;
+    state->window_over_target_ = 0;
     state->last_alert_ns_.reset();
   }
 }
@@ -142,24 +178,17 @@ TenantHealth SloMonitor::HealthLocked(TenantState* state) {
   }
   std::vector<int64_t> lat(state->latencies_.begin(),
                            state->latencies_.begin() + n);
-  uint64_t errs = 0;
-  for (size_t i = 0; i < n; ++i) {
-    errs += state->ok_[i] == 0 ? 1 : 0;
-  }
+  const uint64_t errs = state->window_errors_;
   h.window_errors = errs;
   h.p50_ns = PercentileOf(lat, 0.50);
   h.p90_ns = PercentileOf(lat, 0.90);
   h.p99_ns = PercentileOf(lat, 0.99);
   h.availability =
       1.0 - static_cast<double>(errs) / static_cast<double>(n);
-  const double budget =
-      (1.0 - options_.target.availability) * static_cast<double>(n);
   h.error_budget_remaining =
-      budget <= 0.0
-          ? (errs == 0 ? 1.0 : 0.0)
-          : std::max(0.0, 1.0 - static_cast<double>(errs) / budget);
+      ErrorBudgetRemaining(errs, n, options_.target.availability);
   h.p99_violated = h.p99_ns > options_.target.p99_latency_ns;
-  h.budget_exhausted = h.error_budget_remaining <= 0.0 && errs > 0;
+  h.budget_exhausted = BudgetExhausted(h.error_budget_remaining, errs);
   return h;
 }
 
@@ -245,8 +274,12 @@ void SloMonitor::Reset() {
   }
   for (TenantState* state : states) {
     std::lock_guard<std::mutex> lock(state->mu_);
+    // The ring keeps its stale samples; with seq_ back at 0 they are
+    // overwritten without leaving the (zeroed) window counts.
     state->seq_ = 0;
     state->total_errors_ = 0;
+    state->window_errors_ = 0;
+    state->window_over_target_ = 0;
     state->last_alert_ns_.reset();
   }
   alerts_fired_.store(0, std::memory_order_relaxed);

@@ -10,15 +10,21 @@
 //
 // Threshold callbacks: when a tenant's windowed p99 exceeds the latency
 // target or its error budget is exhausted, the monitor fires the registered
-// alert callback. A tenant's first crossing alerts at once, whatever the
-// clock reads; a per-tenant cooldown spaces only the later alerts, so a
-// sustained violation produces one alert per cooldown period, not one per op.
+// alert callback. Every record checks the thresholds, so the first record
+// whose window crosses one alerts at once, whatever the clock reads; a
+// per-tenant cooldown spaces only the later alerts, so a sustained violation
+// produces one alert per cooldown period, not one per op.
 //
 // Cost model: recording is gated on JIFFY_SLO (default on) AND the obs
 // master flag; disabled, Record() is one relaxed load and a branch. Enabled,
-// it is one per-tenant mutex acquisition and a ring store — callers cache
-// the per-tenant handle (TenantHandle) at client-construction time so the
-// hot path never touches the tenant map.
+// it is one short hold of the per-tenant mutex: a ring store plus two
+// running window counts (failed samples, samples above the p99 target),
+// from which the threshold check is O(1) and gives exactly the verdict of
+// the sorted window. The clock is read only while the window is over a
+// threshold, and the copied, sorted TenantHealth snapshot is built only for
+// an alert that fires and for Health()/HealthAll()/the reports. Callers
+// cache the per-tenant handle (TenantState*) at client-construction time
+// so the hot path never touches the tenant map.
 
 #ifndef SRC_OBS_SLO_H_
 #define SRC_OBS_SLO_H_
@@ -77,7 +83,6 @@ class SloMonitor {
     SloTarget target;
     size_t window_capacity = 8192;             // Samples per tenant.
     DurationNs alert_cooldown = 1 * kSecond;   // Real time between alerts.
-    size_t check_every = 64;  // Evaluate thresholds every N records.
   };
 
   // Fired (synchronously, on the recording thread) when a tenant crosses a
@@ -99,10 +104,10 @@ class SloMonitor {
 
   void SetAlertCallback(AlertFn fn);
 
-  // Replaces the targets/window parameters. Drops all samples (the window
-  // capacity may change) and re-arms every tenant's alert; cached
-  // TenantState handles stay valid. Not synchronized against concurrent
-  // Record() — call during setup, before traffic.
+  // Replaces the targets/window parameters. Drops all samples and window
+  // counts (the window capacity may change) and re-arms every tenant's
+  // alert; cached TenantState handles stay valid. Not synchronized against
+  // concurrent Record() — call during setup, before traffic.
   void SetOptions(const Options& options);
 
   // Health of one tenant / all tenants (sorted by tenant id).
@@ -121,8 +126,8 @@ class SloMonitor {
 
   const Options& options() const { return options_; }
 
-  // Drops all samples and alert state, re-arming every tenant's alert
-  // (tenant registrations survive).
+  // Drops all samples, window counts and alert state, re-arming every
+  // tenant's alert (tenant registrations survive).
   void Reset();
 
  private:
@@ -156,8 +161,13 @@ class SloMonitor::TenantState {
   std::mutex mu_;
   std::vector<int64_t> latencies_;  // Ring, slot = seq % capacity.
   std::vector<uint8_t> ok_;
-  uint64_t seq_ = 0;        // Total samples ever recorded.
+  uint64_t seq_ = 0;        // Samples recorded since the last reset.
   uint64_t total_errors_ = 0;
+  // Counts over the window (the last min(seq_, capacity) samples): failed
+  // samples, and samples above the p99 target. A sample adds to them when it
+  // enters the ring and subtracts when the ring overwrites it.
+  uint64_t window_errors_ = 0;
+  uint64_t window_over_target_ = 0;
   // RealClock reading of the last alert; empty until the first, so the first
   // crossing fires at once whatever the clock reads (steady_clock counts from
   // boot) and the cooldown spaces only later alerts.

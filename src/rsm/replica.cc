@@ -91,7 +91,7 @@ Status Replica::Replicate(const char* op, const std::vector<std::string>& jobs,
     // appending would only churn the log. Seed the cache so the next op on
     // these jobs skips the pre-state capture.
     for (auto& [job, blob] : entry.blobs) {
-      leader_blob_cache_[job] = std::move(blob);
+      CacheBlob(job, std::move(blob));
     }
     return fn_st;
   }
@@ -128,7 +128,7 @@ Status Replica::Replicate(const char* op, const std::vector<std::string>& jobs,
   }
   commit_index_ = last_index();
   for (const auto& [job, blob] : log_.back().blobs) {
-    leader_blob_cache_[job] = blob;
+    CacheBlob(job, blob);
   }
   // Quorum contact doubles as a read-lease refresh.
   lease_expiry_.store(clock_->Now() + config_.rsm_read_lease,
@@ -142,6 +142,20 @@ Status Replica::Replicate(const char* op, const std::vector<std::string>& jobs,
     return Unavailable("metadata leader crashed after commit");
   }
   return fn_st;
+}
+
+void Replica::CacheBlob(const std::string& job, std::string blob) {
+  if (blob.empty()) {
+    // A dropped job: a miss re-captures the same "".
+    leader_blob_cache_.erase(job);
+  } else {
+    leader_blob_cache_[job] = std::move(blob);
+  }
+}
+
+size_t Replica::blob_cache_size() const {
+  std::lock_guard<std::mutex> lock(group_->mu_);
+  return leader_blob_cache_.size();
 }
 
 bool Replica::HandleAppend(uint64_t term, uint64_t prev_index,

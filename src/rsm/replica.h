@@ -115,6 +115,8 @@ class Replica : public MetadataLog {
   uint64_t last_index() const {
     return base_index_ + static_cast<uint64_t>(log_.size());
   }
+  // Jobs with a cached blob (a dropped job leaves none).
+  size_t blob_cache_size() const;
 
  private:
   friend class ControllerGroup;
@@ -165,6 +167,10 @@ class Replica : public MetadataLog {
   // pre-failover hierarchy can never serve again.
   void Demote();
 
+  // Stores `blob` as the job's cached blob; an empty blob (the job was
+  // dropped) erases the entry instead. Caller holds the group mutex.
+  void CacheBlob(const std::string& job, std::string blob);
+
   // Executes deferred frees of entries in (upto_exclusive, commit_index_]
   // that this replica has not yet executed. Idempotent across leaders: the
   // allocator's double-free guard plus the liveness check in
@@ -198,9 +204,10 @@ class Replica : public MetadataLog {
   // live lease stamps until the job's next logged op; a lost-quorum
   // rollback may rewind those stamps, but only on a leader that demotes
   // itself in the same step, and its successor restarts every lease
-  // (Controller::RestartLeases). Cleared on any transition that can change
-  // ctl_ outside Replicate (promotion, demotion, crash, truncation) — a
-  // miss just re-captures.
+  // (Controller::RestartLeases). A dropped job has no entry, so
+  // deregistered jobs leave nothing behind. Cleared on any transition that
+  // can change ctl_ outside Replicate (promotion, demotion, crash,
+  // truncation) — a miss just re-captures.
   std::map<std::string, std::string> leader_blob_cache_;
 
   // Lock-free flags for the read path.

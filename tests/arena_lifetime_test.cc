@@ -106,17 +106,27 @@ TEST(ArenaLifetimeConcurrencyTest, MigrationFreesOldGenerationWithoutPins) {
 // A reader that drops its last pin while a compaction is still copying
 // must not disturb the copy: no key may lose or change its value. A writer
 // overwrites under a mutex standing in for Block::mu(); a reader takes pins
-// under that mutex, holds each briefly and drops it outside the mutex.
-// Overwrites made under a pin append, so the shard compacts every few
-// thousand steps, with a pin held; the ~400 KiB live set spans several
-// 64 KiB chunks, so each copy allocates mid-way. The writer checks every
-// key's exact value every few hundred steps. Each trial starts from a fresh
-// shard, whose first compaction has no memory freed by an earlier one.
+// under that mutex and drops each outside it. The writer overwrites only
+// while the reader pins the current arena generation, so every overwrite
+// appends and the shard compacts every ~2,000 steps however the threads
+// are scheduled; the ~400 KiB live set spans several 64 KiB chunks, so
+// each copy allocates mid-way. The reader drops its pin once the Put in
+// progress has copied kMidCopyBytes (CopyMeter tallies arena copy-ins):
+// one overwrite copies a ~200-byte record, so only a compaction gets that
+// far, and the Put still running after the drop shows the drop landed
+// mid-copy. Trials go on past kMinTrials until one has (at most
+// kMaxTrials): on a loaded host the reader can miss every early copy. The
+// writer checks every key's exact value every few hundred steps. Each
+// trial starts from a fresh shard, whose first compaction has no memory
+// freed by an earlier one.
 TEST(ArenaLifetimeConcurrencyTest, CompactionSurvivesPinsDroppedMidCopy) {
   constexpr int kKeys = 2048;
-  constexpr int kTrials = 10;
+  constexpr int kMinTrials = 10;
+  constexpr int kMaxTrials = 400;
   constexpr int kStepsPerTrial = 3 * kKeys;
   constexpr int kCheckEvery = 256;
+  constexpr uint64_t kMidCopyBytes = 16 * 1024;
+  constexpr uint64_t kSpinsPerYield = 256;
   std::mutex block_mu;
   std::unique_ptr<KvShard> shard;  // Guarded by block_mu.
   const auto key_of = [](int k) { return "key" + std::to_string(k); };
@@ -126,27 +136,63 @@ TEST(ArenaLifetimeConcurrencyTest, CompactionSurvivesPinsDroppedMidCopy) {
     return v;
   };
   std::atomic<bool> stop{false};
+  // Bumped under block_mu whenever shard->arena() changes; 0: no shard yet.
+  std::atomic<uint64_t> generation{0};
+  std::atomic<uint64_t> pinned{0};    // Generation the reader pins, or 0.
+  std::atomic<uint64_t> in_put{0};    // Id of the Put in progress, or 0.
+  std::atomic<uint64_t> put_base{0};  // CopyMeter::Total() as it began.
+  std::atomic<int> dropped_mid_copy{0};
   std::thread reader([&] {
-    std::atomic<uint64_t> dwell{0};
-    while (!stop.load(std::memory_order_relaxed)) {
+    while (!stop.load()) {
       ArenaPin pin;
+      uint64_t gen = 0;
       {
-        std::lock_guard<std::mutex> lock(block_mu);
-        if (shard != nullptr) {
-          pin = ArenaPin(shard->arena());
+        // Never sleeps on the mutex: a thread woken on unlock may be put
+        // on its waker's CPU, and this one must run while the writer
+        // copies.
+        std::unique_lock<std::mutex> lock(block_mu, std::defer_lock);
+        if (generation.load() == 0 || !lock.try_lock()) {
+          std::this_thread::yield();
+          continue;
+        }
+        pin = ArenaPin(shard->arena());
+        gen = generation.load();
+      }
+      pinned.store(gen);
+      // Hold the pin, as a response being framed would, until a Put is
+      // kMidCopyBytes into a copy, or until the generation changes: the
+      // next trial's shard, or a compaction this thread did not see. Spin
+      // between yields, so as to stay on a CPU through a copy on a loaded
+      // host, yet let a writer that shares this CPU run.
+      uint64_t put = 0;
+      for (uint64_t spin = 1; !stop.load() && generation.load() == gen;
+           ++spin) {
+        const uint64_t seen = in_put.load();
+        const uint64_t base = put_base.load();
+        if (seen != 0 && CopyMeter::Total() - base >= kMidCopyBytes &&
+            in_put.load() == seen) {
+          put = seen;
+          break;
+        }
+        if (spin % kSpinsPerYield == 0) {
+          std::this_thread::yield();
         }
       }
-      // Hold the pin for a few microseconds, as a response being framed
-      // would, then drop it outside the mutex: possibly mid-compaction.
-      for (int i = 0; i < 1000; ++i) {
-        dwell.fetch_add(1, std::memory_order_relaxed);
-      }
+      // Drop it outside the mutex.
+      pinned.store(0);
       pin.Release();
+      if (put != 0 && in_put.load() == put) {
+        dropped_mid_copy.fetch_add(1);
+      }
     }
   });
   int compactions = 0;
   int wrong = 0;
-  for (int trial = 0; trial < kTrials && wrong == 0; ++trial) {
+  uint64_t puts = 0;
+  for (int trial = 0;
+       wrong == 0 && trial < kMaxTrials &&
+       (trial < kMinTrials || dropped_mid_copy.load() == 0);
+       ++trial) {
     auto fresh = std::make_unique<KvShard>(size_t{1} << 30, 0, 1024, 1024);
     for (int k = 0; k < kKeys; ++k) {
       EXPECT_TRUE(fresh->Put(key_of(k), value_of(k, 0)).ok());
@@ -155,18 +201,28 @@ TEST(ArenaLifetimeConcurrencyTest, CompactionSurvivesPinsDroppedMidCopy) {
     {
       std::lock_guard<std::mutex> lock(block_mu);
       shard.swap(fresh);
+      generation.fetch_add(1);
     }
     for (int step = 1; step <= kStepsPerTrial && wrong == 0; ++step) {
       const int k = step % kKeys;
       const std::string key = key_of(k);
       const std::string value = value_of(k, ++version[k]);
+      while (pinned.load() != generation.load()) {
+        std::this_thread::yield();
+      }
       {
         std::lock_guard<std::mutex> lock(block_mu);
         const size_t stored = shard->arena()->stored_bytes();
+        put_base.store(CopyMeter::Total());
+        in_put.store(++puts);
         EXPECT_TRUE(shard->Put(key, value).ok());
+        in_put.store(0);
         // Same-size overwrites never shrink the stored bytes; a
         // compaction drops the garbage.
-        compactions += shard->arena()->stored_bytes() < stored ? 1 : 0;
+        if (shard->arena()->stored_bytes() < stored) {
+          ++compactions;
+          generation.fetch_add(1);
+        }
       }
       if (step % kCheckEvery == 0) {
         std::lock_guard<std::mutex> lock(block_mu);
@@ -183,6 +239,7 @@ TEST(ArenaLifetimeConcurrencyTest, CompactionSurvivesPinsDroppedMidCopy) {
   reader.join();
   EXPECT_EQ(wrong, 0);
   EXPECT_GT(compactions, 0);
+  EXPECT_GT(dropped_mid_copy.load(), 0) << compactions << " compactions";
 }
 
 // End-to-end: readers hold MultiGetPinned responses (zero-copy views into

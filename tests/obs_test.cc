@@ -6,15 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
 #include <set>
+#include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/client/jiffy_client.h"
 #include "src/common/clock.h"
+#include "src/common/random.h"
 #include "src/obs/metrics.h"
 #include "src/obs/slo.h"
 #include "src/obs/trace.h"
@@ -342,7 +346,6 @@ TEST(ObsSlo, ErrorBudgetExhaustionFiresRateLimitedAlerts) {
   obs::SloMonitor::Options opts;
   opts.target.availability = 0.99;  // Budget: 1% of the window.
   opts.window_capacity = 128;
-  opts.check_every = 1;
   opts.alert_cooldown = 3600 * kSecond;  // One alert, then silence.
   obs::SloMonitor slo(opts);
   std::vector<std::string> alerted;
@@ -377,7 +380,6 @@ TEST(ObsSlo, FirstCrossingAlertsAtOnceAndResetRearms) {
   obs::SloMonitor::Options opts;
   opts.target.availability = 0.99;
   opts.window_capacity = 128;
-  opts.check_every = 1;
   opts.alert_cooldown = std::numeric_limits<DurationNs>::max();
   obs::SloMonitor slo(opts);
   int callbacks = 0;
@@ -403,6 +405,132 @@ TEST(ObsSlo, FirstCrossingAlertsAtOnceAndResetRearms) {
   }
   EXPECT_EQ(slo.alerts_fired(), 2u);
   EXPECT_EQ(callbacks, 3);
+}
+
+// Alert verdicts of a window, by brute force: sort the last `capacity`
+// samples and apply the sorted-window p99 index and error-budget formulas.
+struct WindowVerdict {
+  bool p99_violated = false;
+  bool budget_exhausted = false;
+  uint64_t window_errors = 0;
+};
+
+WindowVerdict SortedWindowVerdict(
+    const std::vector<std::pair<int64_t, bool>>& samples, size_t capacity,
+    const obs::SloTarget& target) {
+  const size_t n = std::min(samples.size(), capacity);
+  WindowVerdict v;
+  std::vector<int64_t> lat;
+  for (size_t i = samples.size() - n; i < samples.size(); ++i) {
+    lat.push_back(samples[i].first);
+    v.window_errors += samples[i].second ? 0 : 1;
+  }
+  std::sort(lat.begin(), lat.end());
+  const size_t idx =
+      static_cast<size_t>(0.99 * static_cast<double>(n - 1) + 0.5);
+  v.p99_violated = lat[idx] > target.p99_latency_ns;
+  const double budget = (1.0 - target.availability) * static_cast<double>(n);
+  const double remaining =
+      budget <= 0.0
+          ? (v.window_errors == 0 ? 1.0 : 0.0)
+          : std::max(0.0, 1.0 - static_cast<double>(v.window_errors) / budget);
+  v.budget_exhausted = remaining <= 0.0 && v.window_errors > 0;
+  return v;
+}
+
+// Every record checks the thresholds from the running window counts. With
+// no cooldown, every record whose window is over a threshold alerts, and
+// the alert carries the sorted window's verdicts, through several ring
+// wraps and at latencies on either side of the target.
+TEST(ObsSlo, WindowCountVerdictsMatchSortedWindow) {
+  ObsStateGuard obs_guard;
+  obs::SetEnabled(true);
+  SloFlagGuard slo_guard;
+  constexpr int64_t kTarget = 10 * kMillisecond;
+  const int64_t common[] = {1, kTarget - 1, kTarget};
+  const int64_t slow[] = {kTarget + 1, 10 * kSecond};
+  Rng rng(25);
+  for (const double availability : {0.98, 1.0}) {
+    for (const size_t capacity : {1, 2, 7, 64, 130}) {
+      SCOPED_TRACE("availability " + std::to_string(availability) +
+                   ", capacity " + std::to_string(capacity));
+      obs::SloMonitor::Options opts;
+      opts.target.p99_latency_ns = kTarget;
+      opts.target.availability = availability;
+      opts.window_capacity = capacity;
+      opts.alert_cooldown = 0;
+      obs::SloMonitor slo(opts);
+      std::vector<obs::TenantHealth> alerts;
+      slo.SetAlertCallback(
+          [&](const obs::TenantHealth& health) { alerts.push_back(health); });
+      obs::SloMonitor::TenantState* h = slo.Handle("acme");
+      std::vector<std::pair<int64_t, bool>> samples;
+      size_t want_alerts = 0;
+      for (size_t i = 0; i < 3 * capacity + 5; ++i) {
+        const int64_t latency = rng.NextBelow(32) == 0
+                                    ? slow[rng.NextBelow(2)]
+                                    : common[rng.NextBelow(3)];
+        const bool ok = rng.NextBelow(50) != 0;  // About 2 % errors.
+        samples.emplace_back(latency, ok);
+        h->Record(latency, ok);
+        const WindowVerdict want =
+            SortedWindowVerdict(samples, capacity, opts.target);
+        if (want.p99_violated || want.budget_exhausted) {
+          ++want_alerts;
+        }
+        ASSERT_EQ(alerts.size(), want_alerts) << "record " << i;
+        if (want.p99_violated || want.budget_exhausted) {
+          EXPECT_EQ(alerts.back().p99_violated, want.p99_violated)
+              << "record " << i;
+          EXPECT_EQ(alerts.back().budget_exhausted, want.budget_exhausted)
+              << "record " << i;
+          EXPECT_EQ(alerts.back().window_errors, want.window_errors)
+              << "record " << i;
+        }
+      }
+      EXPECT_EQ(slo.alerts_fired(), want_alerts);
+    }
+  }
+}
+
+// Reset() and SetOptions() zero the window counts with the window. Reset()
+// leaves the old samples in the ring, so a later window shorter than the
+// ring must neither alert on them nor count their errors.
+TEST(ObsSlo, ResetAndSetOptionsZeroWindowCounts) {
+  ObsStateGuard obs_guard;
+  obs::SetEnabled(true);
+  SloFlagGuard slo_guard;
+  obs::SloMonitor::Options opts;
+  opts.target.p99_latency_ns = 10 * kMillisecond;
+  opts.target.availability = 0.99;
+  opts.window_capacity = 64;
+  opts.alert_cooldown = 0;
+  obs::SloMonitor slo(opts);
+  obs::SloMonitor::TenantState* h = slo.Handle("acme");
+  const auto fill_violating = [&] {
+    for (int i = 0; i < 64; ++i) {
+      h->Record(1 * kSecond, /*ok=*/false);
+    }
+    EXPECT_GT(slo.alerts_fired(), 0u);
+  };
+  const auto expect_healthy = [&](const char* after) {
+    const uint64_t fired = slo.alerts_fired();
+    for (int i = 0; i < 16; ++i) {
+      h->Record(1 * kMillisecond, /*ok=*/true);
+    }
+    EXPECT_EQ(slo.alerts_fired(), fired) << after;
+    const obs::TenantHealth health = slo.Health("acme");
+    EXPECT_EQ(health.window_samples, 16u) << after;
+    EXPECT_EQ(health.window_errors, 0u) << after;
+    EXPECT_FALSE(health.p99_violated) << after;
+    EXPECT_FALSE(health.budget_exhausted) << after;
+  };
+  fill_violating();
+  slo.Reset();
+  expect_healthy("Reset()");
+  fill_violating();
+  slo.SetOptions(opts);
+  expect_healthy("SetOptions()");
 }
 
 TEST(ObsSlo, SetOptionsDropsSamplesButKeepsHandles) {

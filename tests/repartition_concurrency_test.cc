@@ -202,6 +202,57 @@ TEST(RepartitionConcurrencyTest, MixedChurnConvergesThroughSplitsAndMerges) {
   }
 }
 
+// A split halves a block's slot range, not necessarily its usage, so a block
+// at several times its capacity needs its halves split again. The pairs go
+// straight into the shard, past the clients' pressure checks, so the one
+// hand-raised flag is the only trigger: each split must re-queue both of
+// its halves until every splittable block is under the threshold.
+TEST(RepartitionConcurrencyTest, SplitRequeuesBothHalvesUntilUnderThreshold) {
+  auto cluster = MigrationCluster(/*chunk_bytes=*/512);
+  JiffyClient client(cluster.get());
+  ASSERT_TRUE(client.RegisterJob("job").ok());
+  ASSERT_TRUE(client.CreateAddrPrefix("/job/kv", {}).ok());
+  auto kv = client.OpenKv("/job/kv");
+  ASSERT_TRUE(kv.ok());
+  ASSERT_EQ((*kv)->CachedMap().entries.size(), 1u);
+  Block* block = cluster->ResolveBlock((*kv)->CachedMap().entries[0].block);
+  ASSERT_NE(block, nullptr);
+  std::vector<std::string> keys;
+  {
+    Block::OpLock lock(*block);
+    auto* shard = ContentAs<KvShard>(block->content());
+    ASSERT_NE(shard, nullptr);
+    while (shard->used_bytes() < 4 * block->capacity()) {
+      keys.push_back("key" + std::to_string(keys.size()));
+      ASSERT_TRUE(shard->Put(keys.back(), "value-" + keys.back()).ok());
+    }
+  }
+  Repartitioner::Hint hint;
+  hint.job = "job";
+  hint.prefix = "kv";
+  hint.block = block->id();
+  cluster->repartitioner()->Flag(block, std::move(hint));
+  DrainRepartitioner(cluster.get());
+
+  ASSERT_TRUE((*kv)->RefreshMap().ok());
+  const double high = cluster->config().repartition_high_threshold;
+  for (const PartitionEntry& e : (*kv)->CachedMap().entries) {
+    if (e.hi - e.lo <= 1) {
+      continue;  // One slot cannot split further.
+    }
+    Block* b = cluster->ResolveBlock(e.block);
+    ASSERT_NE(b, nullptr);
+    EXPECT_LT(static_cast<double>(b->UsedBytes()),
+              high * static_cast<double>(b->capacity()))
+        << "slots [" << e.lo << ", " << e.hi << ")";
+  }
+  for (const std::string& key : keys) {
+    auto got = (*kv)->Get(key);
+    ASSERT_TRUE(got.ok()) << key << ": " << got.status();
+    EXPECT_EQ(*got, "value-" + key);
+  }
+}
+
 TEST(RepartitionConcurrencyTest, QueueBackgroundScalingKeepsExactlyOnce) {
   auto cluster = MigrationCluster(/*chunk_bytes=*/512);
   JiffyClient client(cluster.get());

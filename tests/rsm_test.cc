@@ -106,6 +106,30 @@ TEST(RsmTest, LeaderCrashLosesNoCommittedMutations) {
             group->replica(new_leader)->last_index());
 }
 
+// A deregistered job's last logged blob is empty ("job dropped"). Caching
+// it would keep a map node and the old blob's buffer per finished job for
+// the life of the leader; the leader caches nothing for it instead.
+TEST(RsmTest, DeregisteredJobsLeaveNoBlobCacheEntry) {
+  auto cluster = MakeReplicated(3);
+  JiffyClient client(cluster.get());
+  for (int i = 0; i < 200; ++i) {
+    const std::string job = "job" + std::to_string(i);
+    const std::string path = "/" + job + "/kv";
+    ASSERT_TRUE(client.RegisterJob(job).ok()) << job;
+    ASSERT_TRUE(client.CreateAddrPrefix(path, {}).ok()) << job;
+    {
+      auto kv = client.OpenKv(path);
+      ASSERT_TRUE(kv.ok()) << kv.status().ToString();
+      ASSERT_TRUE((*kv)->Put("key", "value").ok()) << job;
+    }
+    ASSERT_TRUE(client.RenewLease(path).ok()) << job;
+    ASSERT_TRUE(client.DeregisterJob(job).ok()) << job;
+  }
+  rsm::ControllerGroup* group = cluster->controller_group(0);
+  EXPECT_EQ(group->replica(LeaderIndex(cluster.get()))->blob_cache_size(),
+            0u);
+}
+
 // The tentpole matrix: kill a replica at every point of the commit
 // protocol and verify no committed lease/DAG mutation is ever lost and no
 // uncommitted one ever resurfaces without being re-applied.

@@ -756,10 +756,13 @@ TEST(WireAffinityChurnTest, SplitsUnderWireWritersKeepExactlyOnce) {
   // Phase 2: in-process thinning (deletes raise underload pressure, driving
   // merges that move slot ranges to surviving blocks — i.e. to DIFFERENT
   // owning loops) while a wire reader keeps hitting survivor keys. Stale
-  // routes must refresh and re-route mid-migration.
+  // routes must refresh and re-route mid-migration. The deletes start only
+  // after the reader's first read, and `stop` is set only once one more
+  // read has completed after WaitIdle(), so reads span the whole phase.
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> wire_reads{0};
-  std::thread wire_reader([&] {
+  std::atomic<bool> reader_exited{false};
+  const auto read_survivors = [&] {
     auto rkv = client.OpenKv("/job/kv");
     ASSERT_TRUE(rkv.ok());
     WireKvClient::Options o2;
@@ -778,7 +781,18 @@ TEST(WireAffinityChurnTest, SplitsUnderWireWritersKeepExactlyOnce) {
       ASSERT_EQ(*got, value_of(w, k));
       wire_reads.fetch_add(1);
     }
+  };
+  std::thread wire_reader([&] {
+    read_survivors();
+    reader_exited.store(true);
   });
+  // Waits for a read after the `seen`-th one, or for the reader to give up.
+  const auto await_read_after = [&](uint64_t seen) {
+    while (wire_reads.load() <= seen && !reader_exited.load()) {
+      std::this_thread::yield();
+    }
+  };
+  await_read_after(0);
   for (int w = 0; w < kWriters; ++w) {
     for (int i = 0; i < kKeysPerWriter; ++i) {
       if (i % 10 == 0) {
@@ -788,6 +802,7 @@ TEST(WireAffinityChurnTest, SplitsUnderWireWritersKeepExactlyOnce) {
     }
   }
   cluster->repartitioner()->WaitIdle();
+  await_read_after(wire_reads.load());
   stop.store(true, std::memory_order_release);
   wire_reader.join();
   EXPECT_GT(wire_reads.load(), 0u);
