@@ -1,16 +1,19 @@
 #include "src/client/ds_client.h"
 
+#include <algorithm>
+#include <utility>
+
 namespace jiffy {
 
 DsClient::DsClient(JiffyCluster* cluster, std::string job, std::string prefix,
                    PartitionMap initial_map, const char* kind)
-    : map_(std::move(initial_map)),
-      cluster_(cluster),
+    : cluster_(cluster),
       job_(std::move(job)),
       prefix_(std::move(prefix)),
       tenant_(obs::TenantOf(job_)),
       kind_(kind),
       retry_rng_(Fnv1a64(prefix_, Fnv1a64(job_)) | 1) {
+  SetMap(std::move(initial_map));
   state_ = cluster_->registry()->GetOrCreate(job_, prefix_);
   // Bind per-tenant attribution once; every op then records through cached
   // pointers (src/obs/metrics.h "Attribution").
@@ -107,14 +110,35 @@ void DsClient::Unsubscribe(const std::string& op,
   state_->subscriptions.Unsubscribe(op, l);
 }
 
-PartitionMap DsClient::CachedMap() const {
+void DsClient::SetMap(PartitionMap map) {
+  auto snap = std::make_shared<MapSnapshot>();
+  if (map.type == DsType::kKvStore) {
+    const uint32_t slots = config().kv_hash_slots;
+    snap->slot_entry.assign(slots, MapSnapshot::kUnmapped);
+    // An entry fills only the slots no earlier entry owns, so overlapping
+    // or unsorted entries route each slot to its first owner.
+    for (size_t e = 0; e < map.entries.size(); ++e) {
+      const PartitionEntry& entry = map.entries[e];
+      for (uint64_t slot = entry.lo; slot < std::min<uint64_t>(entry.hi, slots);
+           ++slot) {
+        if (snap->slot_entry[slot] == MapSnapshot::kUnmapped) {
+          snap->slot_entry[slot] = static_cast<uint32_t>(e);
+        }
+      }
+    }
+  }
+  snap->map = std::move(map);
+  std::shared_ptr<const MapSnapshot> old;  // Freed after the unlock.
   std::lock_guard<std::mutex> lock(map_mu_);
-  return map_;
+  old = std::exchange(map_, std::move(snap));
 }
 
-uint64_t DsClient::map_version() const {
-  std::lock_guard<std::mutex> lock(map_mu_);
-  return map_.version;
+PartitionMap DsClient::CachedMap() const { return Snapshot()->map; }
+
+uint64_t DsClient::map_version() const { return Snapshot()->map.version; }
+
+size_t DsClient::map_entry_count() const {
+  return Snapshot()->map.entries.size();
 }
 
 Status DsClient::RefreshMap() { return RefreshMapInternal(); }
@@ -125,8 +149,7 @@ Status DsClient::RefreshMapInternal() {
   if (!map.ok()) {
     return map.status();
   }
-  std::lock_guard<std::mutex> lock(map_mu_);
-  map_ = std::move(*map);
+  SetMap(std::move(*map));
   return Status::Ok();
 }
 
@@ -161,11 +184,8 @@ void DsClient::FlagPressure(Block* block, BlockId id, DsType type,
 }
 
 void DsClient::MaybePersist(const PartitionEntry& entry) {
-  {
-    std::lock_guard<std::mutex> lock(map_mu_);
-    if (!map_.persist_writes) {
-      return;
-    }
+  if (!Snapshot()->map.persist_writes) {
+    return;
   }
   if (backing() == nullptr) {
     return;

@@ -7,14 +7,21 @@
 // kStaleMetadata (the map version moved because blocks were added/removed,
 // §4.2.1), the client refetches the map from the controller and retries —
 // exactly the paper's client protocol.
+//
+// The cached map is one immutable MapSnapshot, replaced whole on every
+// refresh, so an op takes a reference under the map lock instead of copying
+// the map. A KV map's snapshot also carries a slot→entry index built once
+// per refresh, which turns routing a key into one array lookup.
 
 #ifndef SRC_CLIENT_DS_CLIENT_H_
 #define SRC_CLIENT_DS_CLIENT_H_
 
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/cluster/cluster.h"
 #include "src/client/retry.h"
@@ -43,14 +50,11 @@ class DsClient {
   std::shared_ptr<Listener> Subscribe(const std::string& op);
   void Unsubscribe(const std::string& op, const std::shared_ptr<Listener>& l);
 
-  // Snapshot of the cached partition map.
+  // Copy of the cached partition map.
   PartitionMap CachedMap() const;
   uint64_t map_version() const;
   // Entry count without copying the map (hot-path overload checks).
-  size_t map_entry_count() const {
-    std::lock_guard<std::mutex> lock(map_mu_);
-    return map_.entries.size();
-  }
+  size_t map_entry_count() const;
 
   // Forces a metadata refresh from the controller.
   Status RefreshMap();
@@ -60,6 +64,24 @@ class DsClient {
   void set_retry_policy(const RetryPolicy& policy) { retry_policy_ = policy; }
 
  protected:
+  // An immutable cached partition map, shared by reference count.
+  struct MapSnapshot {
+    static constexpr uint32_t kUnmapped = UINT32_MAX;
+
+    PartitionMap map;
+    // KV maps only: for each hash slot, the index into map.entries of the
+    // first entry whose [lo, hi) owns it, or kUnmapped when none does (the
+    // map is stale for that slot). Empty for other data structures.
+    std::vector<uint32_t> slot_entry;
+  };
+
+  // The current snapshot; a refresh swaps in a new one and never mutates
+  // this one, so callers may hold it across the op.
+  std::shared_ptr<const MapSnapshot> Snapshot() const {
+    std::lock_guard<std::mutex> lock(map_mu_);
+    return map_;
+  }
+
   // --- Per-op SLO / attribution scope ---------------------------------------
   //
   // Every public data-structure op opens one OpScope. On destruction it
@@ -222,10 +244,6 @@ class DsClient {
   // store.
   void MaybePersist(const PartitionEntry& entry);
 
-  // Map access under the client's map lock.
-  mutable std::mutex map_mu_;
-  PartitionMap map_;
-
   // Bounded retries for the queue, file and custom clients' stale-metadata
   // loops; exceeding this indicates a livelock bug rather than routine
   // scaling. KvClient bounds its retries by the retry policy's op_deadline
@@ -241,6 +259,12 @@ class DsClient {
 
   // OpScope sink: labeled op/error counters + latency histogram + SLO.
   void RecordOp(DurationNs latency_ns, bool ok);
+
+  // Installs `map` as the cached snapshot, building a KV map's slot index.
+  void SetMap(PartitionMap map);
+
+  mutable std::mutex map_mu_;
+  std::shared_ptr<const MapSnapshot> map_;  // Guarded by map_mu_.
 
   JiffyCluster* cluster_;
   std::string job_;

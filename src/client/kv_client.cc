@@ -14,26 +14,20 @@ namespace jiffy {
 
 namespace {
 
-constexpr size_t kNoEntry = static_cast<size_t>(-1);
-
-// Index of the map entry owning `slot`; kNoEntry when the map is stale.
-size_t EntryIndexForSlot(const PartitionMap& map, uint32_t slot) {
-  for (size_t e = 0; e < map.entries.size(); ++e) {
-    if (slot >= map.entries[e].lo && slot < map.entries[e].hi) {
-      return e;
-    }
-  }
-  return kNoEntry;
+// A batch operand with its key hashed once — the form the shard's hashed
+// operators take — and that operand's key and request payload bytes.
+HashedKey Hashed(std::string_view key) { return HashedKey(key); }
+std::pair<HashedKey, std::string_view> Hashed(
+    const std::pair<std::string_view, std::string_view>& kv) {
+  return {HashedKey(kv.first), kv.second};
 }
-
-// A batch operand's key and its request payload bytes.
-std::string_view KeyOf(std::string_view key) { return key; }
-std::string_view KeyOf(const std::pair<std::string_view, std::string_view>& kv) {
+const HashedKey& KeyOf(const HashedKey& key) { return key; }
+const HashedKey& KeyOf(const std::pair<HashedKey, std::string_view>& kv) {
   return kv.first;
 }
-size_t PayloadOf(std::string_view key) { return key.size(); }
-size_t PayloadOf(const std::pair<std::string_view, std::string_view>& kv) {
-  return kv.first.size() + kv.second.size();
+size_t PayloadOf(const HashedKey& key) { return key.key.size(); }
+size_t PayloadOf(const std::pair<HashedKey, std::string_view>& kv) {
+  return kv.first.key.size() + kv.second.size();
 }
 
 // The status of an op's or item's outcome.
@@ -59,18 +53,8 @@ Status Livelock(const char* op_span) {
 
 }  // namespace
 
-bool KvClient::RouteSlot(uint32_t slot, PartitionEntry* out) const {
-  std::lock_guard<std::mutex> lock(map_mu_);
-  const size_t e = EntryIndexForSlot(map_, slot);
-  if (e == kNoEntry) {
-    return false;
-  }
-  *out = map_.entries[e];
-  return true;
-}
-
 template <typename R, typename Apply, typename Post>
-R KvClient::ExecuteKey(const OpSpec& spec, std::string_view key, Apply&& apply,
+R KvClient::ExecuteKey(const OpSpec& spec, const HashedKey& key, Apply&& apply,
                        Post&& post) {
   obs::TraceSpan span(spec.span, "client");
   span.SetAttr(tenant_attr());
@@ -83,11 +67,13 @@ R KvClient::ExecuteKey(const OpSpec& spec, std::string_view key, Apply&& apply,
       return Livelock(spec.span);
     }
     BackoffRetry(attempt);
-    PartitionEntry entry;
-    if (!RouteSlot(slot, &entry)) {
+    const std::shared_ptr<const MapSnapshot> snap = Snapshot();
+    const uint32_t e = snap->slot_entry[slot];
+    if (e == MapSnapshot::kUnmapped) {
       JIFFY_RETURN_IF_ERROR(RefreshMapInternal());
       continue;
     }
+    const PartitionEntry& entry = snap->map.entries[e];
     Block* block = Resolve(spec.read ? ReadTarget(entry) : entry.block);
     if (block == nullptr) {
       // The block's server failed: promote a chain replica and retry.
@@ -125,16 +111,24 @@ void KvClient::ExecuteGroups(const OpSpec& spec,
   obs::TraceSpan span(spec.span, "client");
   span.SetAttr(tenant_attr());
   OpScope op(this);
-  std::vector<uint32_t> slots(operands.size());
-  for (size_t i = 0; i < operands.size(); ++i) {
-    slots[i] = KvSlotOf(KeyOf(operands[i]), config().kv_hash_slots);
+  // Hash each key once; every attempt routes and applies from these.
+  using HashedOp = decltype(Hashed(operands.front()));
+  std::vector<HashedOp> hashed;
+  hashed.reserve(operands.size());
+  for (const Operand& operand : operands) {
+    hashed.push_back(Hashed(operand));
   }
+  const uint32_t total_slots = config().kv_hash_slots;
   // Indices still awaiting a definitive result. A concurrent split only
   // re-pends the items whose slots moved — the rest of the batch is done.
   std::vector<size_t> pending(operands.size());
   std::iota(pending.begin(), pending.end(), 0);
   TimeNs retry_start = -1;
-  std::vector<Operand> ops;
+  // (entry index << 32 | operand index) per routed item: sorted, each
+  // entry's group is one run, groups in entry order, items in operand order.
+  std::vector<uint64_t> routed;
+  std::vector<size_t> group;
+  std::vector<HashedOp> ops;
   std::vector<Item> items;
   for (int attempt = 0; !pending.empty(); ++attempt) {
     if (attempt > 0 &&
@@ -145,25 +139,33 @@ void KvClient::ExecuteGroups(const OpSpec& spec,
       return;
     }
     BackoffRetry(attempt);
-    const PartitionMap map = CachedMap();
+    const std::shared_ptr<const MapSnapshot> snap = Snapshot();
     bool need_refresh = false;
-    std::vector<std::vector<size_t>> groups(map.entries.size());
     std::vector<size_t> still_pending;
+    routed.clear();
     for (size_t i : pending) {
-      const size_t e = EntryIndexForSlot(map, slots[i]);
-      if (e == kNoEntry) {
+      const uint32_t e =
+          snap->slot_entry[KvSlotOf(KeyOf(hashed[i]), total_slots)];
+      if (e == MapSnapshot::kUnmapped) {
         need_refresh = true;
         still_pending.push_back(i);
       } else {
-        groups[e].push_back(i);
+        routed.push_back(uint64_t{e} << 32 | i);
       }
     }
-    for (size_t e = 0; e < groups.size(); ++e) {
-      const std::vector<size_t>& group = groups[e];
-      if (group.empty()) {
-        continue;
+    std::sort(routed.begin(), routed.end());
+    for (size_t next = 0; next < routed.size();) {
+      const uint32_t e = static_cast<uint32_t>(routed[next] >> 32);
+      group.clear();
+      ops.clear();
+      size_t payload = 0;
+      for (; next < routed.size() && (routed[next] >> 32) == e; ++next) {
+        const size_t i = static_cast<uint32_t>(routed[next]);
+        group.push_back(i);
+        ops.push_back(hashed[i]);
+        payload += PayloadOf(hashed[i]);
       }
-      const PartitionEntry& entry = map.entries[e];
+      const PartitionEntry& entry = snap->map.entries[e];
       Block* block = Resolve(spec.read ? ReadTarget(entry) : entry.block);
       if (block == nullptr) {
         const Status fo = FailOver(entry);
@@ -176,12 +178,6 @@ void KvClient::ExecuteGroups(const OpSpec& spec,
           still_pending.insert(still_pending.end(), group.begin(), group.end());
         }
         continue;
-      }
-      ops.clear();
-      size_t payload = 0;
-      for (size_t i : group) {
-        ops.push_back(operands[i]);
-        payload += PayloadOf(operands[i]);
       }
       bool content_gone = false;
       {
@@ -201,7 +197,7 @@ void KvClient::ExecuteGroups(const OpSpec& spec,
         continue;
       }
       const Status wire =
-          post(entry, block, group, BatchFrameBytes(ops.size(), payload), items);
+          post(entry, block, ops, BatchFrameBytes(ops.size(), payload), items);
       for (size_t g = 0; g < group.size(); ++g) {
         const size_t i = group[g];
         if (IsStale(items[g]) && (wire.ok() || spec.read)) {
@@ -235,13 +231,14 @@ void KvClient::ExecuteGroups(const OpSpec& spec,
 }
 
 Status KvClient::Put(std::string_view key, std::string_view value) {
+  const HashedKey hk(key);
   double usage = 0.0;
   uint32_t slot_span = 0;
   return ExecuteKey<Status>(
-      {.span = "kv.put", .hold_span = "block.kv_put"}, key,
+      {.span = "kv.put", .hold_span = "block.kv_put"}, hk,
       [&](Block* block, KvShard* shard) {
         block->CountOp();
-        const Status st = shard->Put(key, value);
+        const Status st = shard->Put(hk, value);
         usage = UsageOf(*shard);
         slot_span = shard->slot_span();
         return st;
@@ -252,7 +249,7 @@ Status KvClient::Put(std::string_view key, std::string_view value) {
         JIFFY_RETURN_IF_ERROR(DataExchange(
             entry.block, FrameBytes(key.size() + value.size()), FrameBytes(0)));
         PropagateToReplicas<KvShard>(entry, key.size() + value.size(),
-                                     [&](KvShard* s) { s->Put(key, value); });
+                                     [&](KvShard* s) { s->Put(hk, value); });
         MaybePersist(entry);
         Publish(kPutOp, key);
         // A failure to scale does not fail the put — the data is stored.
@@ -262,14 +259,15 @@ Status KvClient::Put(std::string_view key, std::string_view value) {
 }
 
 Result<std::string> KvClient::Get(std::string_view key) {
+  const HashedKey hk(key);
   std::string value;
   return ExecuteKey<Result<std::string>>(
-      {.span = "kv.get", .hold_span = "block.kv_get", .read = true}, key,
+      {.span = "kv.get", .hold_span = "block.kv_get", .read = true}, hk,
       [&](Block* block, KvShard* shard) {
         block->CountOp();
         // The shard returns a view into arena memory; materialize it here,
         // still under the block mutex — the single copy this read pays.
-        Result<std::string_view> rv = shard->Get(key);
+        Result<std::string_view> rv = shard->Get(hk);
         if (!rv.ok()) {
           return rv.status();
         }
@@ -296,12 +294,13 @@ Result<std::string> KvClient::Get(std::string_view key) {
 }
 
 Status KvClient::Delete(std::string_view key) {
+  const HashedKey hk(key);
   double usage = 0.0;
   return ExecuteKey<Status>(
-      {.span = "kv.delete", .hold_span = "block.kv_delete"}, key,
+      {.span = "kv.delete", .hold_span = "block.kv_delete"}, hk,
       [&](Block* block, KvShard* shard) {
         block->CountOp();
-        const Status st = shard->Delete(key);
+        const Status st = shard->Delete(hk);
         usage = UsageOf(*shard);
         return st;
       },
@@ -309,7 +308,7 @@ Status KvClient::Delete(std::string_view key) {
         JIFFY_RETURN_IF_ERROR(
             DataExchange(entry.block, FrameBytes(key.size()), FrameBytes(0)));
         PropagateToReplicas<KvShard>(entry, key.size(),
-                                     [&](KvShard* s) { s->Delete(key); });
+                                     [&](KvShard* s) { s->Delete(hk); });
         MaybePersist(entry);
         Publish(kDeleteOp, key);
         MaybeFlagUnderload(block, entry, usage);
@@ -319,21 +318,22 @@ Status KvClient::Delete(std::string_view key) {
 
 Status KvClient::Accumulate(std::string_view key, std::string_view update,
                             const MergeFn& merge) {
+  const HashedKey hk(key);
   double usage = 0.0;
   uint32_t slot_span = 0;
   std::string merged;
   return ExecuteKey<Status>(
-      {.span = "kv.accumulate", .hold_span = "block.kv_accumulate"}, key,
+      {.span = "kv.accumulate", .hold_span = "block.kv_accumulate"}, hk,
       [&](Block* block, KvShard* shard) {
-        if (!shard->OwnsKey(key)) {
+        if (!shard->OwnsKey(hk)) {
           return StaleMetadata("slot moved");
         }
         block->CountOp();
         // The old value stays a view for the merge callback — the only copy
         // is the arena copy-in of the merged result inside Put.
-        Result<std::string_view> old = shard->Get(key);
+        Result<std::string_view> old = shard->Get(hk);
         merged = merge(old.ok() ? *old : std::string_view(), update);
-        const Status st = shard->Put(key, merged);
+        const Status st = shard->Put(hk, merged);
         usage = UsageOf(*shard);
         slot_span = shard->slot_span();
         return st;
@@ -345,7 +345,7 @@ Status KvClient::Accumulate(std::string_view key, std::string_view update,
         // The primary resolved the accumulator; replicas receive the merged
         // value so the chain stays byte-identical.
         PropagateToReplicas<KvShard>(entry, key.size() + merged.size(),
-                                     [&](KvShard* s) { s->Put(key, merged); });
+                                     [&](KvShard* s) { s->Put(hk, merged); });
         MaybePersist(entry);
         Publish(kPutOp, key);
         MaybeFlagOverload(block, entry, usage, slot_span);
@@ -387,17 +387,16 @@ std::vector<Status> KvClient::MultiPut(
         usage = UsageOf(*shard);
         slot_span = shard->slot_span();
       },
-      [&](const PartitionEntry& entry, Block* block,
-          const std::vector<size_t>& group, size_t req_bytes,
-          const std::vector<Status>& items) {
+      [&](const PartitionEntry& entry, Block* block, const auto& ops,
+          size_t req_bytes, const std::vector<Status>& items) {
         // One coalesced exchange for the whole group regardless of outcome:
         // the server saw and answered every item. A wire failure that
         // survives every retry loses the per-item reply, so the whole group
         // reports it (the puts themselves were applied — at-least-once).
         JIFFY_RETURN_IF_ERROR(DataExchangeBatch(
-            entry.block, group.size(), req_bytes,
-            BatchFrameBytes(group.size(), 0)));
-        if (ReplayApplied(entry, pairs, group, items, kPutOp,
+            entry.block, ops.size(), req_bytes,
+            BatchFrameBytes(ops.size(), 0)));
+        if (ReplayApplied(entry, ops, items, kPutOp,
                           [](KvShard* s, const auto& kv) {
                             s->Put(kv.first, kv.second);
                           })) {
@@ -462,7 +461,7 @@ KvClient::PinnedValues KvClient::MultiGetPinned(
         // compaction (DESIGN.md §11).
         out.pins.emplace_back(shard->arena());
       },
-      [&](const PartitionEntry& entry, Block*, const std::vector<size_t>& group,
+      [&](const PartitionEntry& entry, Block*, const auto& ops,
           size_t req_bytes, const std::vector<Result<std::string_view>>& items) {
         size_t resp_payload = 0;  // Frame + 8 B/item added by BatchFrameBytes.
         for (const Result<std::string_view>& r : items) {
@@ -470,8 +469,8 @@ KvClient::PinnedValues KvClient::MultiGetPinned(
             resp_payload += r->size();
           }
         }
-        return DataExchangeBatch(ReadTarget(entry), group.size(), req_bytes,
-                                 BatchFrameBytes(group.size(), resp_payload));
+        return DataExchangeBatch(ReadTarget(entry), ops.size(), req_bytes,
+                                 BatchFrameBytes(ops.size(), resp_payload));
       });
   return out;
 }
@@ -494,14 +493,13 @@ std::vector<Status> KvClient::MultiDelete(
         shard->MultiDelete(ops, items);
         usage = UsageOf(*shard);
       },
-      [&](const PartitionEntry& entry, Block* block,
-          const std::vector<size_t>& group, size_t req_bytes,
-          const std::vector<Status>& items) {
+      [&](const PartitionEntry& entry, Block* block, const auto& ops,
+          size_t req_bytes, const std::vector<Status>& items) {
         JIFFY_RETURN_IF_ERROR(DataExchangeBatch(
-            entry.block, group.size(), req_bytes,
-            BatchFrameBytes(group.size(), 0)));
-        if (ReplayApplied(entry, keys, group, items, kDeleteOp,
-                          [](KvShard* s, std::string_view key) {
+            entry.block, ops.size(), req_bytes,
+            BatchFrameBytes(ops.size(), 0)));
+        if (ReplayApplied(entry, ops, items, kDeleteOp,
+                          [](KvShard* s, const HashedKey& key) {
                             s->Delete(key);
                           })) {
           MaybeFlagUnderload(block, entry, usage);
@@ -511,18 +509,17 @@ std::vector<Status> KvClient::MultiDelete(
   return statuses;
 }
 
-template <typename Operand, typename Replay>
+template <typename Op, typename Replay>
 bool KvClient::ReplayApplied(const PartitionEntry& entry,
-                             const std::vector<Operand>& operands,
-                             const std::vector<size_t>& group,
+                             const std::vector<Op>& ops,
                              const std::vector<Status>& items,
                              const char* publish_op, Replay&& replay) {
   std::vector<size_t> applied;
   size_t applied_bytes = 0;
-  for (size_t g = 0; g < group.size(); ++g) {
+  for (size_t g = 0; g < ops.size(); ++g) {
     if (items[g].ok()) {
-      applied.push_back(group[g]);
-      applied_bytes += PayloadOf(operands[group[g]]);
+      applied.push_back(g);
+      applied_bytes += PayloadOf(ops[g]);
     }
   }
   if (applied.empty()) {
@@ -530,13 +527,13 @@ bool KvClient::ReplayApplied(const PartitionEntry& entry,
   }
   PropagateBatchToReplicas<KvShard>(entry, applied.size(), applied_bytes,
                                     [&](KvShard* s) {
-                                      for (size_t i : applied) {
-                                        replay(s, operands[i]);
+                                      for (size_t g : applied) {
+                                        replay(s, ops[g]);
                                       }
                                     });
   MaybePersist(entry);
-  for (size_t i : applied) {
-    Publish(publish_op, KeyOf(operands[i]));
+  for (size_t g : applied) {
+    Publish(publish_op, KeyOf(ops[g]).key);
   }
   return true;
 }
@@ -561,9 +558,9 @@ void KvClient::MaybeFlagUnderload(Block* block, const PartitionEntry& entry,
 
 Result<size_t> KvClient::CountPairs() {
   JIFFY_RETURN_IF_ERROR(RefreshMapInternal());
-  PartitionMap map = CachedMap();
+  const std::shared_ptr<const MapSnapshot> snap = Snapshot();
   size_t total = 0;
-  for (const auto& e : map.entries) {
+  for (const auto& e : snap->map.entries) {
     Block* block = Resolve(e.block);
     if (block == nullptr) {
       continue;

@@ -93,10 +93,6 @@ class KvClient : public DsClient {
   Result<size_t> CountPairs();
 
  private:
-  // Finds the cached entry owning `slot`; returns false when absent (map
-  // stale).
-  bool RouteSlot(uint32_t slot, PartitionEntry* out) const;
-
   // The two engines every KV op runs on, in the shape of an Execute<Op>: an
   // engine opens the op's client span and SLO scope, routes, holds the
   // block, retries, and decides whether the op succeeded; the op supplies
@@ -114,31 +110,37 @@ class KvClient : public DsClient {
     bool misses_ok = false;  // Batch: kNotFound items still count as success.
   };
 
+  // Both engines hash each key once per op, not per attempt, and hand the
+  // shard HashedKeys. Each attempt routes through the current MapSnapshot's
+  // slot index (ds_client.h): one lookup per key, no copy of the map. A slot
+  // no entry owns means the map is stale, which refreshes it.
+
   // Single-key engine: `apply(block, shard) -> Status` runs under the hold.
   // A write whose operator failed returns that status before any exchange;
   // otherwise `post(entry, block, status)` returns the op's result (a
   // success when ok or kNotFound), or nullopt to execute the op again.
   template <typename R, typename Apply, typename Post>
-  R ExecuteKey(const OpSpec& spec, std::string_view key, Apply&& apply,
+  R ExecuteKey(const OpSpec& spec, const HashedKey& key, Apply&& apply,
                Post&& post);
 
   // Group engine: groups the operands (keys, or key/value pairs) by map
-  // entry; `apply(shard, ops, &items)` fills one outcome per operand under
-  // the group's hold, then `post(entry, block, group, req_bytes, items)`
-  // issues the group's exchange and returns its status. Stale items are
-  // re-sent; the rest get their outcome, or the failed exchange's status —
-  // which a write's stale items get too, while a read re-sends them.
+  // entry with one sort of (entry, operand index), so groups go out in entry
+  // order and each keeps operand order (duplicate keys in one MultiPut apply
+  // in the caller's order). `apply(shard, ops, &items)` fills one outcome
+  // per hashed operand under the group's hold, then
+  // `post(entry, block, ops, req_bytes, items)` issues the group's exchange
+  // and returns its status. Stale items are re-sent; the rest get their
+  // outcome, or the failed exchange's status — which a write's stale items
+  // get too, while a read re-sends them.
   template <typename Operand, typename Item, typename Apply, typename Post>
   void ExecuteGroups(const OpSpec& spec, const std::vector<Operand>& operands,
                      std::vector<Item>* results, Apply&& apply, Post&& post);
 
-  // Post-step of the batched writes after their exchange: sends the items
-  // the shard applied down the chain (`replay(shard, operand)`, one hop per
-  // replica), persists and publishes them. False when none was applied.
-  template <typename Operand, typename Replay>
-  bool ReplayApplied(const PartitionEntry& entry,
-                     const std::vector<Operand>& operands,
-                     const std::vector<size_t>& group,
+  // Post-step of the batched writes after their exchange: sends the group's
+  // items the shard applied down the chain (`replay(shard, op)`, one hop
+  // per replica), persists and publishes them. False when none was applied.
+  template <typename Op, typename Replay>
+  bool ReplayApplied(const PartitionEntry& entry, const std::vector<Op>& ops,
                      const std::vector<Status>& items, const char* publish_op,
                      Replay&& replay);
 

@@ -21,8 +21,8 @@ inline uint64_t Fnv1a64(std::string_view data, uint64_t seed = 0) {
   return h;
 }
 
-// Second, independent hash for cuckoo hashing: fmix64 finalizer from
-// MurmurHash3 applied to the FNV value with a distinct seed.
+// fmix64 finalizer from MurmurHash3: a full-avalanche 64-bit mix. The cuckoo
+// map derives a key's second bucket from Mix64 of its stored hash.
 inline uint64_t Mix64(uint64_t x) {
   x ^= x >> 33;
   x *= 0xff51afd7ed558ccdULL;
@@ -34,9 +34,18 @@ inline uint64_t Mix64(uint64_t x) {
 
 inline uint64_t HashKey1(std::string_view key) { return Fnv1a64(key); }
 
-inline uint64_t HashKey2(std::string_view key) {
-  return Mix64(Fnv1a64(key, 0x5bd1e9955bd1e995ULL));
-}
+// A KV key with its HashKey1 hash. The client hashes each key once per op
+// and passes this through routing, the shard and the cuckoo map, which
+// derive slot, fingerprint and both bucket indexes from `hash`. The view
+// aliases the caller's bytes.
+struct HashedKey {
+  HashedKey() = default;
+  explicit HashedKey(std::string_view k) : key(k), hash(HashKey1(k)) {}
+  HashedKey(std::string_view k, uint64_t h) : key(k), hash(h) {}
+
+  std::string_view key;
+  uint64_t hash = 0;
+};
 
 }  // namespace jiffy
 

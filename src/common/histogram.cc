@@ -4,9 +4,9 @@
 #include <bit>
 #include <cstdio>
 
-namespace jiffy {
+#include "src/common/logging.h"
 
-Histogram::Histogram() : buckets_(kNumBuckets, 0) {}
+namespace jiffy {
 
 int Histogram::BucketFor(int64_t value) {
   if (value < 0) {
@@ -36,105 +36,111 @@ int64_t Histogram::BucketMidpoint(int bucket) {
   return base + width / 2;
 }
 
+void Histogram::Data::Add(const Data& other, bool with_buckets) {
+  if (other.count == 0) {
+    return;
+  }
+  if (with_buckets) {
+    if (buckets.empty()) {
+      buckets.assign(kNumBuckets, 0);
+    }
+    for (int i = 0; i < kNumBuckets; ++i) {
+      buckets[i] += other.buckets[i];
+    }
+  }
+  if (count == 0) {
+    min = other.min;
+    max = other.max;
+  } else {
+    min = std::min(min, other.min);
+    max = std::max(max, other.max);
+  }
+  count += other.count;
+  sum += other.sum;
+}
+
 void Histogram::Record(int64_t value) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (value < 0) {
     value = 0;
   }
-  buckets_[BucketFor(value)]++;
-  if (count_ == 0) {
-    min_ = max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
+  const int bucket = BucketFor(value);
+  Shard& shard = shards_[CurrentThreadId() & (kShards - 1)];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  Data& d = shard.data;
+  if (d.buckets.empty()) {
+    d.buckets.assign(kNumBuckets, 0);
   }
-  count_++;
-  sum_ += static_cast<double>(value);
+  d.buckets[bucket]++;
+  if (d.count == 0) {
+    d.min = d.max = value;
+  } else {
+    d.min = std::min(d.min, value);
+    d.max = std::max(d.max, value);
+  }
+  d.count++;
+  d.sum += static_cast<double>(value);
+}
+
+Histogram::Data Histogram::Fold(bool with_buckets) const {
+  Data out;
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    out.Add(shard.data, with_buckets);
+  }
+  return out;
 }
 
 void Histogram::Merge(const Histogram& other) {
-  // Snapshot `other` first to avoid holding both locks at once.
-  std::vector<uint64_t> other_buckets;
-  uint64_t other_count;
-  int64_t other_min, other_max;
-  double other_sum;
-  {
-    std::lock_guard<std::mutex> lock(other.mu_);
-    other_buckets = other.buckets_;
-    other_count = other.count_;
-    other_min = other.min_;
-    other_max = other.max_;
-    other_sum = other.sum_;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  for (int i = 0; i < kNumBuckets; ++i) {
-    buckets_[i] += other_buckets[i];
-  }
-  if (other_count > 0) {
-    if (count_ == 0) {
-      min_ = other_min;
-      max_ = other_max;
-    } else {
-      min_ = std::min(min_, other_min);
-      max_ = std::max(max_, other_max);
-    }
-  }
-  count_ += other_count;
-  sum_ += other_sum;
+  // Fold `other` first, so no two shard locks are ever held together.
+  const Data snapshot = other.Fold(/*with_buckets=*/true);
+  Shard& shard = shards_[CurrentThreadId() & (kShards - 1)];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  shard.data.Add(snapshot, /*with_buckets=*/true);
 }
 
-uint64_t Histogram::count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return count_;
-}
+uint64_t Histogram::count() const { return Fold(false).count; }
 
-int64_t Histogram::min() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return min_;
-}
+int64_t Histogram::min() const { return Fold(false).min; }
 
-int64_t Histogram::max() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return max_;
-}
+int64_t Histogram::max() const { return Fold(false).max; }
 
 double Histogram::mean() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
+  const Data d = Fold(false);
+  return d.count == 0 ? 0.0 : d.sum / static_cast<double>(d.count);
 }
 
 int64_t Histogram::Percentile(double q) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (count_ == 0) {
+  const Data d = Fold(true);
+  if (d.count == 0) {
     return 0;
   }
   q = std::clamp(q, 0.0, 1.0);
   const uint64_t target =
-      static_cast<uint64_t>(q * static_cast<double>(count_ - 1)) + 1;
+      static_cast<uint64_t>(q * static_cast<double>(d.count - 1)) + 1;
   uint64_t seen = 0;
   for (int i = 0; i < kNumBuckets; ++i) {
-    seen += buckets_[i];
+    seen += d.buckets[i];
     if (seen >= target) {
-      return std::clamp(BucketMidpoint(i), min_, max_);
+      return std::clamp(BucketMidpoint(i), d.min, d.max);
     }
   }
-  return max_;
+  return d.max;
 }
 
 std::vector<std::pair<int64_t, double>> Histogram::Cdf() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const Data d = Fold(true);
   std::vector<std::pair<int64_t, double>> out;
-  if (count_ == 0) {
+  if (d.count == 0) {
     return out;
   }
   uint64_t seen = 0;
   for (int i = 0; i < kNumBuckets; ++i) {
-    if (buckets_[i] == 0) {
+    if (d.buckets[i] == 0) {
       continue;
     }
-    seen += buckets_[i];
+    seen += d.buckets[i];
     out.emplace_back(BucketMidpoint(i),
-                     static_cast<double>(seen) / static_cast<double>(count_));
+                     static_cast<double>(seen) / static_cast<double>(d.count));
   }
   return out;
 }
@@ -152,11 +158,10 @@ std::string Histogram::Summary(double scale, const std::string& unit) const {
 }
 
 void Histogram::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  count_ = 0;
-  min_ = max_ = 0;
-  sum_ = 0.0;
+  for (Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    shard.data = Data();
+  }
 }
 
 }  // namespace jiffy

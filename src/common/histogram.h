@@ -4,6 +4,15 @@
 // percentiles (p50/p99/...) or a full CDF in the same form as the paper's
 // figures. Log-bucketed to cover 1 ns .. ~100 s with bounded memory while
 // keeping relative error under ~1 %.
+//
+// Sharded per thread, like obs::Counter: Record() locks only the shard its
+// thread id picks, so concurrent recorders (the closed-loop clients, the
+// transports they share) stop serializing on one mutex and one cache line.
+// Each shard has its own mutex and allocates its bucket array on first use;
+// a histogram recorded from one thread holds one array, as an unsharded one
+// would. Readers fold every shard, one lock at a time, and report exactly
+// what a single histogram fed the same samples would. The cost moves to the
+// readers: each query walks up to kShards bucket arrays.
 
 #ifndef SRC_COMMON_HISTOGRAM_H_
 #define SRC_COMMON_HISTOGRAM_H_
@@ -17,23 +26,31 @@ namespace jiffy {
 
 class Histogram {
  public:
-  Histogram();
+  // Recording shards; the same count as obs::Counter's. Power of two.
+  static constexpr size_t kShards = 8;
+
+  Histogram() = default;
+  Histogram(const Histogram&) = delete;
+  Histogram& operator=(const Histogram&) = delete;
 
   // Adds one sample (negative samples are clamped to 0). Thread-safe.
   void Record(int64_t value);
 
   // Merges `other` into this histogram.
   //
-  // Locking contract (audited — keep it this way): Merge snapshots `other`
-  // under other.mu_ FIRST, releases it, and only then takes this->mu_ to
-  // apply the snapshot. The two locks are never held simultaneously, so
+  // Locking contract (audited — keep it this way): no code path holds two
+  // shard locks at once. Merge folds `other` into a local snapshot, taking
+  // and releasing each of other's shard locks in turn, and only then locks
+  // the calling thread's shard of this histogram to add the snapshot. So
   //   - concurrent cross-merges (T1: a.Merge(b) while T2: b.Merge(a)) cannot
   //     deadlock regardless of ordering;
-  //   - self-merge h.Merge(h) is safe (the non-recursive mutex is taken
-  //     twice but sequentially) and, by design, doubles every count;
+  //   - self-merge h.Merge(h) is safe (each non-recursive shard mutex is
+  //     taken sequentially) and, by design, doubles every count;
   //   - a merge is NOT atomic with respect to concurrent Record() on
-  //     `other`: samples recorded after the snapshot are not copied. Merge
-  //     quiesced histograms when an exact total matters.
+  //     `other`: samples recorded after a shard was folded are not copied.
+  //     Merge quiesced histograms when an exact total matters.
+  // Readers and Reset() likewise visit the shards one lock at a time, so a
+  // read concurrent with Record() sees each shard at a different instant.
   void Merge(const Histogram& other);
 
   uint64_t count() const;
@@ -52,6 +69,7 @@ class Histogram {
   // (e.g. 1000 for microseconds) and suffixed with `unit`.
   std::string Summary(double scale, const std::string& unit) const;
 
+  // Empties every shard.
   void Reset();
 
  private:
@@ -61,12 +79,28 @@ class Histogram {
   static int BucketFor(int64_t value);
   static int64_t BucketMidpoint(int bucket);
 
-  mutable std::mutex mu_;
-  std::vector<uint64_t> buckets_;
-  uint64_t count_ = 0;
-  int64_t min_ = 0;
-  int64_t max_ = 0;
-  double sum_ = 0.0;
+  // Samples and their summary. `buckets` stays empty until the first
+  // sample (or merge) lands, so idle shards cost no bucket array.
+  struct Data {
+    std::vector<uint64_t> buckets;
+    uint64_t count = 0;
+    int64_t min = 0;
+    int64_t max = 0;
+    double sum = 0.0;  // Exact while the sum of samples is below 2^53.
+
+    // Adds `other`'s samples (its buckets only when `with_buckets`).
+    void Add(const Data& other, bool with_buckets);
+  };
+  struct alignas(64) Shard {
+    mutable std::mutex mu;
+    Data data;
+  };
+
+  // Every shard folded into one, each locked in turn; bucket arrays only
+  // when the caller needs them.
+  Data Fold(bool with_buckets) const;
+
+  Shard shards_[kShards];
 };
 
 }  // namespace jiffy

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/common/hash.h"
-#include "src/common/logging.h"
 
 namespace jiffy {
 
@@ -15,29 +14,21 @@ CuckooHashMap::CuckooHashMap(size_t initial_buckets) {
   mask_ = n - 1;
 }
 
-size_t CuckooHashMap::Index1(std::string_view key) const {
-  return HashKey1(key) & mask_;
-}
-
-size_t CuckooHashMap::Index2(std::string_view key) const {
-  return HashKey2(key) & mask_;
-}
-
-uint32_t CuckooHashMap::Tag(std::string_view key) {
-  // Fingerprint from the high hash bits (the bucket indexes use the low
-  // bits); 0 is reserved for "empty slot".
-  const uint32_t t = static_cast<uint32_t>(HashKey1(key) >> 32);
+uint32_t CuckooHashMap::Tag(uint64_t hash) {
+  // Fingerprint from the high hash bits (the first bucket index uses the
+  // low bits); 0 is reserved for "empty slot".
+  const uint32_t t = static_cast<uint32_t>(hash >> 32);
   return t == 0 ? 1 : t;
 }
 
 const CuckooHashMap::Slot* CuckooHashMap::FindSlot(
-    std::string_view key) const {
-  const uint32_t tag = Tag(key);
-  for (const size_t idx : {Index1(key), Index2(key)}) {
+    const HashedKey& key) const {
+  const uint32_t tag = Tag(key.hash);
+  for (const size_t idx : {Index1(key.hash), Index2(key.hash)}) {
     for (const Slot& s : buckets_[idx].slots) {
       // Tag filter first: a miss costs one 32-byte bucket line, no key
       // bytes touched unless a fingerprint collides.
-      if (s.tag == tag && records_[s.rec].key() == key) {
+      if (s.tag == tag && records_[s.rec].key() == key.key) {
         return &s;
       }
     }
@@ -45,7 +36,7 @@ const CuckooHashMap::Slot* CuckooHashMap::FindSlot(
   return nullptr;
 }
 
-CuckooHashMap::Slot* CuckooHashMap::FindSlotMutable(std::string_view key) {
+CuckooHashMap::Slot* CuckooHashMap::FindSlotMutable(const HashedKey& key) {
   return const_cast<Slot*>(FindSlot(key));
 }
 
@@ -68,7 +59,7 @@ void CuckooHashMap::StoreRecord(std::string_view key, std::string_view value,
   rec->cap = static_cast<uint32_t>((key.size() + value.size() + 7) & ~size_t{7});
 }
 
-uint32_t CuckooHashMap::AllocRecord(std::string_view key,
+uint32_t CuckooHashMap::AllocRecord(const HashedKey& key,
                                     std::string_view value) {
   uint32_t idx;
   if (!free_recs_.empty()) {
@@ -78,7 +69,8 @@ uint32_t CuckooHashMap::AllocRecord(std::string_view key,
     idx = static_cast<uint32_t>(records_.size());
     records_.emplace_back();
   }
-  StoreRecord(key, value, &records_[idx]);
+  records_[idx].hash = key.hash;
+  StoreRecord(key.key, value, &records_[idx]);
   return idx;
 }
 
@@ -89,7 +81,7 @@ void CuckooHashMap::FreeRecord(uint32_t rec) {
   free_recs_.push_back(rec);
 }
 
-std::optional<size_t> CuckooHashMap::Put(std::string_view key,
+std::optional<size_t> CuckooHashMap::Put(const HashedKey& key,
                                          std::string_view value) {
   if (Slot* s = FindSlotMutable(key); s != nullptr) {
     Record& r = records_[s->rec];
@@ -98,7 +90,7 @@ std::optional<size_t> CuckooHashMap::Put(std::string_view key,
     // taken under the block mutex the writer holds, so pins()==0 here means
     // no view of these bytes outlives the current lock hold. Steady-state
     // overwrite churn then recycles the same allocation with zero garbage.
-    if (arena_->pins() == 0 && key.size() + value.size() <= r.cap) {
+    if (arena_->pins() == 0 && key.key.size() + value.size() <= r.cap) {
       if (!value.empty()) {
         std::memcpy(const_cast<char*>(r.data) + r.klen, value.data(),
                     value.size());
@@ -112,92 +104,95 @@ std::optional<size_t> CuckooHashMap::Put(std::string_view key,
     // Pinned readers may still be looking at the old bytes: append a fresh
     // record and leave the old ones as garbage until compaction.
     arena_->NoteGarbage(r.klen + r.vlen);
-    StoreRecord(key, value, &r);
+    StoreRecord(key.key, value, &r);
     return old_size;
   }
-  Place(Slot{Tag(key), AllocRecord(key, value)});
+  Insert(Slot{Tag(key.hash), AllocRecord(key, value)});
   size_++;
   return std::nullopt;
 }
 
-void CuckooHashMap::Place(Slot s) {
-  for (;;) {
-    const std::string_view key = records_[s.rec].key();
-    // Try an empty slot in either candidate bucket.
-    for (const size_t idx : {Index1(key), Index2(key)}) {
-      for (Slot& slot : buckets_[idx].slots) {
-        if (slot.tag == 0) {
-          slot = s;
-          return;
-        }
-      }
-    }
-    // Both full: random-walk eviction. Each kick swaps two 8-byte slots;
-    // record bytes never move.
-    Slot cur = s;
-    bool placed = false;
-    for (int kick = 0; kick < kMaxKicks; ++kick) {
-      const std::string_view cur_key = records_[cur.rec].key();
-      kick_seed_ = Mix64(kick_seed_ + static_cast<uint64_t>(kick));
-      const size_t idx = (kick_seed_ & 1) ? Index2(cur_key) : Index1(cur_key);
-      const int victim_slot =
-          static_cast<int>((kick_seed_ >> 1) % kSlotsPerBucket);
-      Slot& victim = buckets_[idx].slots[victim_slot];
-      if (victim.tag == 0) {
-        victim = cur;
-        placed = true;
-        break;
-      }
-      std::swap(victim, cur);
-      // Move the displaced slot toward its alternate bucket next round.
-      const std::string_view kicked_key = records_[cur.rec].key();
-      for (const size_t alt : {Index1(kicked_key), Index2(kicked_key)}) {
-        if (alt == idx) {
-          continue;
-        }
-        for (Slot& slot : buckets_[alt].slots) {
-          if (slot.tag == 0) {
-            slot = cur;
-            placed = true;
-            break;
-          }
-        }
-        if (placed) {
-          break;
-        }
-      }
-      if (placed) {
-        break;
-      }
-    }
-    if (placed) {
-      return;
-    }
-    s = cur;
-    Rehash();
+void CuckooHashMap::Insert(Slot s) {
+  // Growing never unplaces a resident (see Grow), so the one slot a failed
+  // walk left homeless simply retries in the doubled table.
+  for (std::optional<Slot> homeless = TryPlace(s); homeless.has_value();
+       homeless = TryPlace(*homeless)) {
+    Grow();
   }
 }
 
-void CuckooHashMap::Rehash() {
-  std::vector<Bucket> old = std::move(buckets_);
-  buckets_.clear();
-  buckets_.resize(old.size() * 2);
-  mask_ = buckets_.size() - 1;
-  const size_t expected = size_;
-  size_t moved = 0;
-  for (Bucket& b : old) {
-    for (Slot& s : b.slots) {
-      if (s.tag != 0) {
-        Place(s);
-        moved++;
+std::optional<CuckooHashMap::Slot> CuckooHashMap::TryPlace(Slot s) {
+  // Try an empty slot in either candidate bucket.
+  const uint64_t hash = records_[s.rec].hash;
+  for (const size_t idx : {Index1(hash), Index2(hash)}) {
+    for (Slot& slot : buckets_[idx].slots) {
+      if (slot.tag == 0) {
+        slot = s;
+        return std::nullopt;
       }
     }
   }
-  JIFFY_CHECK(moved == expected) << "cuckoo rehash lost entries";
+  // Both full: random-walk eviction. Each kick swaps two 8-byte slots;
+  // record bytes never move.
+  Slot cur = s;
+  for (int kick = 0; kick < kMaxKicks; ++kick) {
+    const uint64_t cur_hash = records_[cur.rec].hash;
+    kick_seed_ = Mix64(kick_seed_ + static_cast<uint64_t>(kick));
+    const size_t idx = (kick_seed_ & 1) ? Index2(cur_hash) : Index1(cur_hash);
+    const int victim_slot =
+        static_cast<int>((kick_seed_ >> 1) % kSlotsPerBucket);
+    Slot& victim = buckets_[idx].slots[victim_slot];
+    if (victim.tag == 0) {
+      victim = cur;
+      return std::nullopt;
+    }
+    std::swap(victim, cur);
+    // Move the displaced slot toward its alternate bucket next round.
+    const uint64_t kicked_hash = records_[cur.rec].hash;
+    for (const size_t alt : {Index1(kicked_hash), Index2(kicked_hash)}) {
+      if (alt == idx) {
+        continue;
+      }
+      for (Slot& slot : buckets_[alt].slots) {
+        if (slot.tag == 0) {
+          slot = cur;
+          return std::nullopt;
+        }
+      }
+    }
+  }
+  return cur;
+}
+
+void CuckooHashMap::Grow() {
+  // Both bucket indexes are a fixed 64-bit value masked to the table size,
+  // so doubling adds one bit to each: a resident of bucket b lands in b or
+  // b + old_n, and the two halves share at most b's four slots. Every set of
+  // entries that fits a table therefore fits a table twice its size, and
+  // this move needs no kicks and cannot fail.
+  const size_t old_n = buckets_.size();
+  const std::vector<Bucket> old =
+      std::exchange(buckets_, std::vector<Bucket>(old_n * 2));
+  mask_ = old_n * 2 - 1;
+  for (size_t b = 0; b < old_n; ++b) {
+    int filled[2] = {0, 0};  // Slots used in buckets b and b + old_n.
+    for (const Slot& s : old[b].slots) {
+      if (s.tag == 0) {
+        continue;
+      }
+      // Keep whichever index put the slot in b at the old size.
+      const uint64_t hash = records_[s.rec].hash;
+      const uint64_t first = First(hash);
+      const size_t to = ((first & (old_n - 1)) == b ? first : Second(hash)) &
+                        mask_;
+      const int half = to == b ? 0 : 1;
+      buckets_[to].slots[filled[half]++] = s;
+    }
+  }
 }
 
 std::optional<std::string_view> CuckooHashMap::Get(
-    std::string_view key) const {
+    const HashedKey& key) const {
   const Slot* s = FindSlot(key);
   if (s == nullptr) {
     return std::nullopt;
@@ -205,11 +200,7 @@ std::optional<std::string_view> CuckooHashMap::Get(
   return records_[s->rec].value();
 }
 
-bool CuckooHashMap::Contains(std::string_view key) const {
-  return FindSlot(key) != nullptr;
-}
-
-std::optional<size_t> CuckooHashMap::Erase(std::string_view key) {
+std::optional<size_t> CuckooHashMap::Erase(const HashedKey& key) {
   Slot* s = FindSlotMutable(key);
   if (s == nullptr) {
     return std::nullopt;
@@ -225,23 +216,30 @@ std::optional<size_t> CuckooHashMap::Erase(std::string_view key) {
 
 void CuckooHashMap::ForEach(
     const std::function<void(std::string_view, std::string_view)>& fn) const {
+  ForEachHashed(
+      [&fn](const HashedKey& k, std::string_view v) { fn(k.key, v); });
+}
+
+void CuckooHashMap::ForEachHashed(
+    const std::function<void(const HashedKey&, std::string_view)>& fn) const {
   for (const Bucket& b : buckets_) {
     for (const Slot& s : b.slots) {
       if (s.tag != 0) {
         const Record& r = records_[s.rec];
-        fn(r.key(), r.value());
+        fn(HashedKey(r.key(), r.hash), r.value());
       }
     }
   }
 }
 
 size_t CuckooHashMap::ExtractIf(
-    const std::function<bool(std::string_view)>& pred,
+    const std::function<bool(const HashedKey&)>& pred,
     const std::function<void(std::string_view, std::string_view)>& sink) {
   size_t extracted = 0;
   for (Bucket& b : buckets_) {
     for (Slot& s : b.slots) {
-      if (s.tag != 0 && pred(records_[s.rec].key())) {
+      if (s.tag != 0 &&
+          pred(HashedKey(records_[s.rec].key(), records_[s.rec].hash))) {
         const Record& r = records_[s.rec];
         // The sink sees views into bytes that are garbage the moment we
         // free the record — still readable until the arena compacts, and

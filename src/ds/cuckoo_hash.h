@@ -1,19 +1,30 @@
 // Cuckoo hash map for the KV-store block shards (§5.3: "Jiffy employs
 // cuckoo hashing for highly concurrent KV operations").
 //
-// Two hash functions, 4-way set-associative buckets, random-walk eviction
-// with a bounded kick chain, and doubling rehash when a chain fails. Within
-// Jiffy a shard is always accessed under its block's operation mutex, so the
-// map itself is single-writer; the cuckoo layout still pays off via O(1)
+// Two bucket choices, 4-way set-associative buckets, random-walk eviction
+// with a bounded kick chain, and doubling when a chain fails. Within Jiffy a
+// shard is always accessed under its block's operation mutex, so the map
+// itself is single-writer; the cuckoo layout still pays off via O(1)
 // worst-case lookups (at most two buckets probed).
+//
+// Hash once: every entry point takes a HashedKey (key + HashKey1 hash,
+// computed once by the caller), and the record table stores the hash. The
+// fingerprint, the first bucket (hash & mask) and the second bucket
+// (Mix64(hash) & mask) all derive from it, so kicks, growth and range scans
+// (ExtractIf hands its predicate the stored hash) never re-hash a key or
+// read its bytes. Growth never recurses: a failed kick walk doubles the
+// table, which moves every resident by its stored hash into one of the two
+// halves of its old bucket and cannot fail, and the one slot the walk left
+// homeless retries in the bigger table.
 //
 // Layout (the cache-friendly part): a bucket is four 8-byte slots — a
 // 32-bit key fingerprint (tag, 0 = empty) plus a 32-bit index into a record
 // table — so a whole bucket is one 32-byte probe and a negative lookup
 // usually never touches key bytes. Key/value bytes live contiguously
 // ([key][value]) in the map's SlabArena; the record table holds
-// {data, klen, vlen}. Cuckoo kicks move slots between buckets, i.e. each
-// kick is an 8-byte swap — record bytes never move during placement.
+// {data, hash, klen, vlen, cap}. Cuckoo kicks move slots between buckets,
+// i.e. each kick is an 8-byte swap — record bytes never move during
+// placement.
 //
 // Ownership contract (DESIGN.md §11): Get/ForEach/ExtractIf return
 // string_views into arena memory, valid under the block mutex or for the
@@ -38,6 +49,7 @@
 #include <vector>
 
 #include "src/block/arena.h"
+#include "src/common/hash.h"
 
 namespace jiffy {
 
@@ -50,17 +62,31 @@ class CuckooHashMap {
   // Inserts or replaces, copying the operands into the arena (the data
   // plane's single copy-in). Returns the previous value's size if the key
   // was present (so callers can maintain byte accounting), or nullopt.
-  std::optional<size_t> Put(std::string_view key, std::string_view value);
+  std::optional<size_t> Put(const HashedKey& key, std::string_view value);
 
   // Returns a non-owning view of the stored value; valid under the block
   // mutex or for the life of an ArenaPin on this map's arena.
-  std::optional<std::string_view> Get(std::string_view key) const;
-  bool Contains(std::string_view key) const;
+  std::optional<std::string_view> Get(const HashedKey& key) const;
+  bool Contains(const HashedKey& key) const { return FindSlot(key) != nullptr; }
 
   // Removes the key; returns the erased (key,value) byte size, or nullopt.
   // The record bytes become arena garbage (still readable by pinned
   // readers) until CompactArena().
-  std::optional<size_t> Erase(std::string_view key);
+  std::optional<size_t> Erase(const HashedKey& key);
+
+  // Unhashed conveniences: each hashes `key` once and forwards.
+  std::optional<size_t> Put(std::string_view key, std::string_view value) {
+    return Put(HashedKey(key), value);
+  }
+  std::optional<std::string_view> Get(std::string_view key) const {
+    return Get(HashedKey(key));
+  }
+  bool Contains(std::string_view key) const {
+    return Contains(HashedKey(key));
+  }
+  std::optional<size_t> Erase(std::string_view key) {
+    return Erase(HashedKey(key));
+  }
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -70,12 +96,16 @@ class CuckooHashMap {
   void ForEach(
       const std::function<void(std::string_view, std::string_view)>& fn)
       const;
+  // Same, with each key's stored hash.
+  void ForEachHashed(
+      const std::function<void(const HashedKey&, std::string_view)>& fn)
+      const;
 
-  // Removes every entry matching `pred` and hands it to `sink` as arena
-  // views (the repartitioner copies them out). The extracted bytes become
-  // arena garbage.
+  // Removes every entry matching `pred`, which sees the key with its stored
+  // hash, and hands it to `sink` as arena views (the repartitioner copies
+  // them out). The extracted bytes become arena garbage.
   size_t ExtractIf(
-      const std::function<bool(std::string_view)>& pred,
+      const std::function<bool(const HashedKey&)>& pred,
       const std::function<void(std::string_view, std::string_view)>& sink);
 
   // Copies the live records into a new arena generation and swaps it in.
@@ -114,6 +144,7 @@ class CuckooHashMap {
   // still fit can rewrite the value in place instead of appending garbage.
   struct Record {
     const char* data = nullptr;
+    uint64_t hash = 0;  // HashKey1 of the key, as the caller supplied it.
     uint32_t klen = 0;
     uint32_t vlen = 0;
     uint32_t cap = 0;
@@ -121,24 +152,33 @@ class CuckooHashMap {
     std::string_view value() const { return {data + klen, vlen}; }
   };
 
-  size_t Index1(std::string_view key) const;
-  size_t Index2(std::string_view key) const;
-  static uint32_t Tag(std::string_view key);
+  // Each bucket index is a fixed 64-bit value masked to the table size.
+  static uint64_t First(uint64_t hash) { return hash; }
+  static uint64_t Second(uint64_t hash) { return Mix64(hash); }
+  size_t Index1(uint64_t hash) const { return First(hash) & mask_; }
+  size_t Index2(uint64_t hash) const { return Second(hash) & mask_; }
+  static uint32_t Tag(uint64_t hash);
 
   // Finds the slot holding `key`, or nullptr.
-  const Slot* FindSlot(std::string_view key) const;
-  Slot* FindSlotMutable(std::string_view key);
+  const Slot* FindSlot(const HashedKey& key) const;
+  Slot* FindSlotMutable(const HashedKey& key);
 
-  // Copies [key][value] into the arena and fills `rec`.
+  // Copies [key][value] into the arena and fills `rec`'s bytes (not its
+  // hash).
   void StoreRecord(std::string_view key, std::string_view value, Record* rec);
-  uint32_t AllocRecord(std::string_view key, std::string_view value);
+  uint32_t AllocRecord(const HashedKey& key, std::string_view value);
   void FreeRecord(uint32_t rec);
 
-  // Places a slot, kicking residents if needed; grows on failure. Pure
-  // slot movement — record bytes are untouched.
-  void Place(Slot s);
+  // Places a new slot, doubling the table until a kick walk finds it a
+  // home. Pure slot movement — record bytes are untouched.
+  void Insert(Slot s);
 
-  void Rehash();
+  // One bounded random-walk placement. Returns the slot the walk left
+  // without a home (`s` or a resident it evicted), or nullopt.
+  std::optional<Slot> TryPlace(Slot s);
+
+  // Doubles the bucket array, moving each resident by its stored hash.
+  void Grow();
 
   std::shared_ptr<SlabArena> arena_ = std::make_shared<SlabArena>();
   std::vector<Bucket> buckets_;

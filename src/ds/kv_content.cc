@@ -5,8 +5,22 @@
 
 namespace jiffy {
 
+namespace {
+
+// One outcome per batch item, aligned with the input.
+template <typename Op, typename Out, typename Fn>
+void ApplyEach(const std::vector<Op>& ops, std::vector<Out>* out, Fn&& fn) {
+  out->clear();
+  out->reserve(ops.size());
+  for (const Op& op : ops) {
+    out->push_back(fn(op));
+  }
+}
+
+}  // namespace
+
 uint32_t KvSlotOf(std::string_view key, uint32_t total_slots) {
-  return static_cast<uint32_t>(HashKey1(key) % total_slots);
+  return KvSlotOf(HashedKey(key), total_slots);
 }
 
 KvShard::KvShard(size_t capacity, uint32_t slot_lo, uint32_t slot_hi,
@@ -41,11 +55,7 @@ Result<std::unique_ptr<KvShard>> KvShard::Deserialize(
   return shard;
 }
 
-bool KvShard::OwnsKey(std::string_view key) const {
-  return OwnsSlot(KvSlotOf(key, total_slots_));
-}
-
-Status KvShard::Put(std::string_view key, std::string_view value) {
+Status KvShard::Put(const HashedKey& key, std::string_view value) {
   const uint32_t slot = KvSlotOf(key, total_slots_);
   if (!OwnsSlot(slot)) {
     return StaleMetadata("slot " + std::to_string(slot) +
@@ -56,17 +66,17 @@ Status KvShard::Put(std::string_view key, std::string_view value) {
     used_bytes_ += value.size();
     used_bytes_ -= *old;
   } else {
-    used_bytes_ += key.size() + value.size() + kPerPairOverhead;
+    used_bytes_ += key.key.size() + value.size() + kPerPairOverhead;
   }
-  NoteDirty(key, slot);
+  NoteDirty(key.key, slot);
   MaybeCompact();
   return Status::Ok();
 }
 
-Result<std::string_view> KvShard::Get(std::string_view key) const {
-  if (!OwnsKey(key)) {
-    return StaleMetadata("slot " +
-                         std::to_string(KvSlotOf(key, total_slots_)) +
+Result<std::string_view> KvShard::Get(const HashedKey& key) const {
+  const uint32_t slot = KvSlotOf(key, total_slots_);
+  if (!OwnsSlot(slot)) {
+    return StaleMetadata("slot " + std::to_string(slot) +
                          " not owned by this shard");
   }
   std::optional<std::string_view> v = map_.Get(key);
@@ -76,7 +86,7 @@ Result<std::string_view> KvShard::Get(std::string_view key) const {
   return *v;
 }
 
-Status KvShard::Delete(std::string_view key) {
+Status KvShard::Delete(const HashedKey& key) {
   const uint32_t slot = KvSlotOf(key, total_slots_);
   if (!OwnsSlot(slot)) {
     return StaleMetadata("slot " + std::to_string(slot) +
@@ -87,37 +97,45 @@ Status KvShard::Delete(std::string_view key) {
     return NotFound("no such key");
   }
   used_bytes_ -= *erased + kPerPairOverhead;
-  NoteDirty(key, slot);
+  NoteDirty(key.key, slot);
   MaybeCompact();
   return Status::Ok();
 }
 
 void KvShard::MultiPut(
+    const std::vector<std::pair<HashedKey, std::string_view>>& pairs,
+    std::vector<Status>* statuses) {
+  ApplyEach(pairs, statuses,
+            [this](const auto& kv) { return Put(kv.first, kv.second); });
+}
+
+void KvShard::MultiGet(const std::vector<HashedKey>& keys,
+                       std::vector<Result<std::string_view>>* out) const {
+  ApplyEach(keys, out, [this](const HashedKey& key) { return Get(key); });
+}
+
+void KvShard::MultiDelete(const std::vector<HashedKey>& keys,
+                          std::vector<Status>* statuses) {
+  ApplyEach(keys, statuses,
+            [this](const HashedKey& key) { return Delete(key); });
+}
+
+void KvShard::MultiPut(
     const std::vector<std::pair<std::string_view, std::string_view>>& pairs,
     std::vector<Status>* statuses) {
-  statuses->clear();
-  statuses->reserve(pairs.size());
-  for (const auto& [key, value] : pairs) {
-    statuses->push_back(Put(key, value));
-  }
+  ApplyEach(pairs, statuses,
+            [this](const auto& kv) { return Put(kv.first, kv.second); });
 }
 
 void KvShard::MultiGet(const std::vector<std::string_view>& keys,
                        std::vector<Result<std::string_view>>* out) const {
-  out->clear();
-  out->reserve(keys.size());
-  for (const std::string_view key : keys) {
-    out->push_back(Get(key));
-  }
+  ApplyEach(keys, out, [this](std::string_view key) { return Get(key); });
 }
 
 void KvShard::MultiDelete(const std::vector<std::string_view>& keys,
                           std::vector<Status>* statuses) {
-  statuses->clear();
-  statuses->reserve(keys.size());
-  for (const std::string_view key : keys) {
-    statuses->push_back(Delete(key));
-  }
+  ApplyEach(keys, statuses,
+            [this](std::string_view key) { return Delete(key); });
 }
 
 size_t KvShard::SplitOff(
@@ -128,7 +146,7 @@ size_t KvShard::SplitOff(
   // reserve beats log2(moved) relocations of string pairs.
   out->reserve(out->size() + map_.size());
   const size_t moved = map_.ExtractIf(
-      [&](std::string_view key) {
+      [&](const HashedKey& key) {
         const uint32_t slot = KvSlotOf(key, total);
         return slot >= from_slot && slot < slot_hi_;
       },
@@ -152,7 +170,7 @@ size_t KvShard::SplitOffLower(
   size_t moved_bytes = 0;
   out->reserve(out->size() + map_.size());
   const size_t moved = map_.ExtractIf(
-      [&](std::string_view key) {
+      [&](const HashedKey& key) {
         const uint32_t slot = KvSlotOf(key, total);
         return slot >= slot_lo_ && slot < up_to_slot;
       },
@@ -178,11 +196,10 @@ Status KvShard::BeginMigration(uint32_t from_slot) {
   migrate_from_ = from_slot;
   snapshot_keys_.clear();
   snapshot_keys_.reserve(map_.size());
-  map_.ForEach([&](std::string_view k, std::string_view v) {
-    (void)v;
+  map_.ForEachHashed([&](const HashedKey& k, std::string_view) {
     const uint32_t slot = KvSlotOf(k, total_slots_);
     if (slot >= from_slot && slot < slot_hi_) {
-      snapshot_keys_.emplace_back(k);
+      snapshot_keys_.emplace_back(k.key, k.hash);
     }
   });
   dirty_.clear();
@@ -194,9 +211,9 @@ bool KvShard::SplitOffChunk(
     std::vector<std::pair<std::string, std::string>>* out) {
   size_t bytes = 0;
   while (*cursor < snapshot_keys_.size() && bytes < max_bytes) {
-    const std::string& key = snapshot_keys_[*cursor];
+    const auto& [key, hash] = snapshot_keys_[*cursor];
     ++*cursor;
-    std::optional<std::string_view> value = map_.Get(key);
+    std::optional<std::string_view> value = map_.Get(HashedKey(key, hash));
     if (!value.has_value()) {
       continue;  // Deleted since the snapshot; nothing to copy.
     }
@@ -236,16 +253,21 @@ void KvShard::AbortMigration() {
 Status KvShard::MoveInPairs(
     uint32_t lo, uint32_t hi,
     std::vector<std::pair<std::string, std::string>>* pairs) {
+  std::vector<uint64_t> hashes;
+  hashes.reserve(pairs->size());
   for (const auto& [k, v] : *pairs) {
-    const uint32_t slot = KvSlotOf(k, total_slots_);
+    const HashedKey key(k);
+    const uint32_t slot = KvSlotOf(key, total_slots_);
     if (slot < lo || slot >= hi) {
       return InvalidArgument("migrated pair in slot " + std::to_string(slot) +
                              " outside range [" + std::to_string(lo) + ", " +
                              std::to_string(hi) + ")");
     }
+    hashes.push_back(key.hash);
   }
-  for (const auto& [k, v] : *pairs) {
-    const std::optional<size_t> old = map_.Put(k, v);
+  for (size_t i = 0; i < pairs->size(); ++i) {
+    const auto& [k, v] = (*pairs)[i];
+    const std::optional<size_t> old = map_.Put(HashedKey(k, hashes[i]), v);
     if (old.has_value()) {
       used_bytes_ += v.size();
       used_bytes_ -= *old;
@@ -269,7 +291,7 @@ bool KvShard::EraseMigrated(std::string_view key) {
 size_t KvShard::DropRange(uint32_t lo, uint32_t hi) {
   size_t dropped_bytes = 0;
   const size_t dropped = map_.ExtractIf(
-      [&](std::string_view key) {
+      [&](const HashedKey& key) {
         const uint32_t slot = KvSlotOf(key, total_slots_);
         return slot >= lo && slot < hi;
       },

@@ -9,6 +9,13 @@
 // with kStaleMetadata so clients holding an outdated partition map refresh
 // and re-route.
 //
+// Every operator has a HashedKey form: the client hashes a key once per op
+// and the shard derives its slot from that hash, then hands the same hash
+// to the cuckoo map, whose record table stores it. Range scans (SplitOff,
+// SplitOffLower, DropRange, BeginMigration) compute slots from the stored
+// hashes, so no operator re-hashes a key. The string_view forms, kept for
+// callers off the hot path, hash once at the boundary and forward.
+//
 // Pair bytes live in the cuckoo map's SlabArena; read operators return
 // string_views into it. The views are valid under the owning block's mutex,
 // or across an unlock if the reader took an ArenaPin on arena() first
@@ -28,12 +35,16 @@
 
 #include "src/block/arena.h"
 #include "src/block/block.h"
+#include "src/common/hash.h"
 #include "src/common/status.h"
 #include "src/ds/cuckoo_hash.h"
 
 namespace jiffy {
 
-// Slot for a key given H total slots.
+// Slot for a key given H total slots: FNV-1a (HashKey1) mod H.
+inline uint32_t KvSlotOf(const HashedKey& key, uint32_t total_slots) {
+  return static_cast<uint32_t>(key.hash % total_slots);
+}
 uint32_t KvSlotOf(std::string_view key, uint32_t total_slots);
 
 class KvShard : public BlockContent {
@@ -59,14 +70,22 @@ class KvShard : public BlockContent {
 
   // writeOp: inserts/replaces. kStaleMetadata when the key's slot is not
   // owned by this shard.
-  Status Put(std::string_view key, std::string_view value);
+  Status Put(const HashedKey& key, std::string_view value);
 
   // readOp. The returned view aliases shard arena memory — copy it out
   // before releasing the block mutex, or hold an ArenaPin on arena().
-  Result<std::string_view> Get(std::string_view key) const;
+  Result<std::string_view> Get(const HashedKey& key) const;
 
   // deleteOp.
-  Status Delete(std::string_view key);
+  Status Delete(const HashedKey& key);
+
+  Status Put(std::string_view key, std::string_view value) {
+    return Put(HashedKey(key), value);
+  }
+  Result<std::string_view> Get(std::string_view key) const {
+    return Get(HashedKey(key));
+  }
+  Status Delete(std::string_view key) { return Delete(HashedKey(key)); }
 
   // --- Batch operators (DESIGN.md §7) ---------------------------------------
   //
@@ -76,6 +95,13 @@ class KvShard : public BlockContent {
   // never reports success for an item that was not applied. MultiGet results
   // are arena views with the same lifetime rule as Get.
   void MultiPut(
+      const std::vector<std::pair<HashedKey, std::string_view>>& pairs,
+      std::vector<Status>* statuses);
+  void MultiGet(const std::vector<HashedKey>& keys,
+                std::vector<Result<std::string_view>>* out) const;
+  void MultiDelete(const std::vector<HashedKey>& keys,
+                   std::vector<Status>* statuses);
+  void MultiPut(
       const std::vector<std::pair<std::string_view, std::string_view>>& pairs,
       std::vector<Status>* statuses);
   void MultiGet(const std::vector<std::string_view>& keys,
@@ -83,7 +109,10 @@ class KvShard : public BlockContent {
   void MultiDelete(const std::vector<std::string_view>& keys,
                    std::vector<Status>* statuses);
 
-  bool OwnsKey(std::string_view key) const;
+  bool OwnsKey(const HashedKey& key) const {
+    return OwnsSlot(KvSlotOf(key, total_slots_));
+  }
+  bool OwnsKey(std::string_view key) const { return OwnsKey(HashedKey(key)); }
   bool OwnsSlot(uint32_t slot) const {
     return slot >= slot_lo_ && slot < slot_hi_;
   }
@@ -195,7 +224,8 @@ class KvShard : public BlockContent {
   // everything else in the shard).
   bool migrating_ = false;
   uint32_t migrate_from_ = 0;
-  std::vector<std::string> snapshot_keys_;
+  // Snapshot keys with their stored hashes, so chunk reads do not re-hash.
+  std::vector<std::pair<std::string, uint64_t>> snapshot_keys_;
   std::unordered_set<std::string> dirty_;
 };
 

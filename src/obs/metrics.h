@@ -7,8 +7,10 @@
 //   Counter   monotonic, sharded across cache lines so concurrent clients
 //             (the common case: many closed-loop threads) never contend;
 //   Gauge     last-written value (free blocks, queue depths);
-//   Histogram the existing src/common histogram, reused for latency
-//             distributions (allocation, lease renewal, transport RTT).
+//   Histogram the src/common histogram, reused for latency distributions
+//             (allocation, lease renewal, transport RTT); sharded by thread
+//             like Counter, so a record locks only its thread's shard and
+//             a read folds all kShards of them.
 //
 // Names are dotted and namespaced per component instance, e.g.
 // "controller.0.lease_renewals_total", "server.3.block_ops_total",
@@ -90,7 +92,8 @@ class Counter {
   }
 
  private:
-  static constexpr size_t kShards = 8;  // Power of two (masked indexing).
+  // Power of two (masked indexing); histograms shard the same way.
+  static constexpr size_t kShards = Histogram::kShards;
   struct alignas(64) Shard {
     std::atomic<uint64_t> v{0};
   };

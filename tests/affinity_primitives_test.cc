@@ -70,7 +70,9 @@ TEST(BlockBiasConcurrencyTest, OpLockRevokesAnExistingBias) {
 // (re-granting through OpLock whenever revoked) while revoker threads take
 // OpLocks, ALL incrementing one non-atomic counter. Any overlap between a
 // biased operator and a lock holder is a lost update (count mismatch) and a
-// TSan data race.
+// TSan data race. Revokers start only once the owner holds the bias and has
+// completed one biased op, so the first revoker's OpLock must revoke — on
+// any schedule, not only when the threads happen to overlap.
 TEST(BlockBiasConcurrencyTest, BiasedOwnerExcludesOpLockHolders) {
   Block block(BlockId{0, 2}, 4096);
   constexpr uint64_t kOwnerTag = 42;
@@ -78,12 +80,14 @@ TEST(BlockBiasConcurrencyTest, BiasedOwnerExcludesOpLockHolders) {
   constexpr int kRevokers = 3;
   constexpr int kRevokerOps = 2000;
   uint64_t counter = 0;  // Deliberately non-atomic.
+  std::atomic<bool> biased{false};
 
   std::thread owner([&] {
     for (int i = 0; i < kOwnerOps; ++i) {
       if (block.TryBeginBiasedOp(kOwnerTag)) {
         ++counter;
         block.EndBiasedOp();
+        biased.store(true, std::memory_order_release);
       } else {
         Block::OpLock lock(block);
         ++counter;
@@ -94,6 +98,9 @@ TEST(BlockBiasConcurrencyTest, BiasedOwnerExcludesOpLockHolders) {
   std::vector<std::thread> revokers;
   for (int r = 0; r < kRevokers; ++r) {
     revokers.emplace_back([&] {
+      while (!biased.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
       for (int i = 0; i < kRevokerOps; ++i) {
         Block::OpLock lock(block);
         ++counter;

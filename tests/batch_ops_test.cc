@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -233,6 +234,56 @@ TEST_F(BatchOpsBigBlockTest, EmptyBatchesCountAsSuccesses) {
   EXPECT_EQ(after.SumCounters("client.op_errors_total") -
                 before.SumCounters("client.op_errors_total"),
             0u);
+}
+
+// The slot index routes each slot to the first map entry owning it, however
+// the entries are ordered or overlap: with the true entries reversed and a
+// bogus entry owning every slot appended after them, every op must reach
+// its true block without a refresh (a refresh would replace the 5-entry map
+// with the controller's 4 entries). A slot that no entry owns still
+// refreshes the map.
+TEST_F(BatchOpsBigBlockTest, SlotIndexRoutesToFirstOwningEntry) {
+  ASSERT_TRUE(client_->CreateAddrPrefix("/job/kv", {}).ok());
+  auto opened = client_->OpenKv("/job/kv", 4 << 20);
+  ASSERT_TRUE(opened.ok());
+  const PartitionMap truth = (*opened)->CachedMap();
+  ASSERT_EQ(truth.entries.size(), 4u);
+
+  PartitionMap overlapping = truth;
+  std::reverse(overlapping.entries.begin(), overlapping.entries.end());
+  PartitionEntry bogus = truth.entries.front();
+  bogus.lo = 0;
+  bogus.hi = cluster_->config().kv_hash_slots;
+  overlapping.entries.push_back(bogus);
+  KvClient kv(cluster_.get(), "job", "kv", overlapping);
+  std::vector<std::pair<std::string, std::string>> pairs;
+  std::vector<std::string> keys;
+  for (int i = 0; i < 64; ++i) {
+    keys.push_back("k" + std::to_string(i));
+    pairs.emplace_back(keys.back(), "v" + std::to_string(i));
+  }
+  for (const Status& st : kv.MultiPut(pairs)) {
+    EXPECT_TRUE(st.ok()) << st;
+  }
+  EXPECT_TRUE(kv.Put("single", "s").ok());
+  const WireValues got = kv.MultiGet(keys);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(got[i].ok()) << keys[i];
+    EXPECT_EQ(*got[i], pairs[i].second);
+  }
+  EXPECT_EQ(*kv.Get("single"), "s");
+  EXPECT_EQ(kv.CachedMap().entries.size(), 5u);  // Never refreshed.
+
+  // Drop the entry owning "single"'s slot: routing it refreshes the map.
+  PartitionMap holed = truth;
+  const uint32_t slot = KvSlotOf("single", cluster_->config().kv_hash_slots);
+  std::erase_if(holed.entries, [slot](const PartitionEntry& e) {
+    return slot >= e.lo && slot < e.hi;
+  });
+  ASSERT_EQ(holed.entries.size(), 3u);
+  KvClient stale(cluster_.get(), "job", "kv", holed);
+  EXPECT_EQ(*stale.Get("single"), "s");
+  EXPECT_EQ(stale.CachedMap().entries.size(), 4u);
 }
 
 // Pins the exchanges every KV op issues: a fixed sequence of single-key and

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "src/ds/file_content.h"
 #include "src/ds/kv_content.h"
@@ -150,6 +153,76 @@ TEST(KvShardTest, RejectsKeysOutsideSlotRange) {
   EXPECT_EQ(shard.Put("k", "v").code(), StatusCode::kStaleMetadata);
   EXPECT_EQ(shard.Get("k").status().code(), StatusCode::kStaleMetadata);
   EXPECT_EQ(shard.Delete("k").code(), StatusCode::kStaleMetadata);
+}
+
+// The hashed batch operators return, item for item, exactly what the
+// string_view ones return: two shards owning the lower half of the slots,
+// one driven each way, including kStaleMetadata for keys of the upper half
+// and kNotFound for misses.
+TEST(KvShardTest, HashedBatchOperatorsMatchStringViewOperators) {
+  KvShard plain(1 << 16, 0, 512, 1024);
+  KvShard hashed(1 << 16, 0, 512, 1024);
+  std::vector<std::string> keys;
+  for (int i = 0; i < 64; ++i) {
+    keys.push_back("key" + std::to_string(i));
+  }
+  const auto expect_same = [](const auto& a, const auto& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].ToString(), b[i].ToString()) << i;
+    }
+  };
+  const auto count_code = [](const std::vector<Status>& statuses,
+                             StatusCode code) {
+    size_t n = 0;
+    for (const Status& st : statuses) {
+      n += st.code() == code ? 1 : 0;
+    }
+    return n;
+  };
+
+  std::vector<std::pair<std::string_view, std::string_view>> put_views;
+  std::vector<std::pair<HashedKey, std::string_view>> put_hashed;
+  for (int i = 0; i < 48; ++i) {
+    put_views.emplace_back(keys[i], keys[63 - i]);
+    put_hashed.emplace_back(HashedKey(keys[i]), keys[63 - i]);
+  }
+  std::vector<Status> plain_st, hashed_st;
+  plain.MultiPut(put_views, &plain_st);
+  hashed.MultiPut(put_hashed, &hashed_st);
+  expect_same(plain_st, hashed_st);
+  EXPECT_GT(count_code(plain_st, StatusCode::kOk), 0u);
+  EXPECT_GT(count_code(plain_st, StatusCode::kStaleMetadata), 0u);
+
+  std::vector<std::string_view> get_views(keys.begin(), keys.end());
+  std::vector<HashedKey> get_hashed;
+  for (const std::string& k : keys) {
+    get_hashed.emplace_back(k);
+  }
+  std::vector<Result<std::string_view>> plain_got, hashed_got;
+  plain.MultiGet(get_views, &plain_got);
+  hashed.MultiGet(get_hashed, &hashed_got);
+  ASSERT_EQ(plain_got.size(), hashed_got.size());
+  size_t misses = 0;
+  for (size_t i = 0; i < plain_got.size(); ++i) {
+    EXPECT_EQ(plain_got[i].status().ToString(),
+              hashed_got[i].status().ToString())
+        << i;
+    if (plain_got[i].ok() && hashed_got[i].ok()) {
+      EXPECT_EQ(*plain_got[i], *hashed_got[i]) << i;
+    }
+    misses += plain_got[i].status().code() == StatusCode::kNotFound ? 1 : 0;
+  }
+  EXPECT_GT(misses, 0u);
+
+  std::vector<std::string_view> del_views(keys.begin() + 32, keys.end());
+  std::vector<HashedKey> del_hashed(get_hashed.begin() + 32, get_hashed.end());
+  plain.MultiDelete(del_views, &plain_st);
+  hashed.MultiDelete(del_hashed, &hashed_st);
+  expect_same(plain_st, hashed_st);
+  EXPECT_GT(count_code(plain_st, StatusCode::kNotFound), 0u);
+  EXPECT_EQ(plain.pair_count(), hashed.pair_count());
+  EXPECT_EQ(plain.used_bytes(), hashed.used_bytes());
 }
 
 TEST(KvShardTest, SplitOffMovesUpperSlots) {

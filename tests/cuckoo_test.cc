@@ -6,7 +6,9 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/random.h"
 #include "src/ds/cuckoo_hash.h"
 
@@ -76,7 +78,7 @@ TEST(CuckooTest, ExtractIfRemovesMatching) {
   }
   std::map<std::string, std::string> extracted;
   const size_t n = map.ExtractIf(
-      [](std::string_view k) { return k.back() == '7'; },
+      [](const HashedKey& k) { return k.key.back() == '7'; },
       [&](std::string_view k, std::string_view v) {
         extracted.emplace(std::string(k), std::string(v));
       });
@@ -85,6 +87,76 @@ TEST(CuckooTest, ExtractIfRemovesMatching) {
   EXPECT_TRUE(extracted.count("k7") == 1);
   EXPECT_FALSE(map.Contains("k7"));
   EXPECT_TRUE(map.Contains("k8"));
+}
+
+// Growth never re-hashes a key and never recurses. Injected hashes make 12
+// keys share both candidate buckets — 8 slots — at every table size below
+// 2^kFitBits buckets, so every doubling up to there fails its kick walk
+// again. At 2^kFitBits the next bit of each index spreads them, three per
+// bucket pair, over four buckets, where they fit. Any path that re-hashed
+// the key bytes would move these keys to their natural buckets and lose
+// them.
+TEST(CuckooTest, GrowthKeepsInjectedHashesUntilCollidingKeysFit) {
+  constexpr int kFitBits = 6;
+  constexpr uint64_t kShared = (uint64_t{1} << (kFitBits - 1)) - 1;
+  constexpr uint64_t kTopBit = uint64_t{1} << (kFitBits - 1);
+  // Seeded search: the low kFitBits-1 bits of hash and of Mix64(hash) are
+  // fixed (both bucket indexes), three hashes per combination of the next
+  // bit of each.
+  Rng rng(7);
+  std::vector<uint64_t> hashes;
+  int per_pair[4] = {0, 0, 0, 0};
+  while (hashes.size() < 12) {
+    const uint64_t h = (rng.Next() & ~kShared) | 5;
+    if ((Mix64(h) & kShared) != 19) {
+      continue;
+    }
+    const int pair = ((h & kTopBit) ? 2 : 0) + ((Mix64(h) & kTopBit) ? 1 : 0);
+    if (per_pair[pair] < 3) {
+      per_pair[pair]++;
+      hashes.push_back(h);
+    }
+  }
+  CuckooHashMap map(2);
+  for (int i = 0; i < 32; ++i) {
+    map.Put("ordinary" + std::to_string(i), "o" + std::to_string(i));
+    if (i < 12) {
+      map.Put(HashedKey("colliding" + std::to_string(i), hashes[i]),
+              "c" + std::to_string(i));
+    }
+  }
+  map.CompactArena();
+  EXPECT_EQ(map.size(), 44u);
+  EXPECT_EQ(map.bucket_count(), size_t{1} << kFitBits);
+  for (int i = 0; i < 12; ++i) {
+    const std::string key = "colliding" + std::to_string(i);
+    auto v = map.Get(HashedKey(key, hashes[i]));
+    ASSERT_TRUE(v.has_value()) << key;
+    EXPECT_EQ(*v, "c" + std::to_string(i));
+  }
+  for (int i = 0; i < 32; ++i) {
+    auto v = map.Get("ordinary" + std::to_string(i));
+    ASSERT_TRUE(v.has_value()) << i;
+    EXPECT_EQ(*v, "o" + std::to_string(i));
+  }
+  // Each predicate sees the hash its key was stored with.
+  std::map<std::string, uint64_t> seen;
+  const size_t extracted = map.ExtractIf(
+      [&](const HashedKey& k) {
+        seen[std::string(k.key)] = k.hash;
+        return k.key.starts_with("colliding");
+      },
+      [](std::string_view, std::string_view) {});
+  EXPECT_EQ(extracted, 12u);
+  EXPECT_EQ(map.size(), 32u);
+  ASSERT_EQ(seen.size(), 44u);
+  for (int i = 0; i < 12; ++i) {
+    EXPECT_EQ(seen["colliding" + std::to_string(i)], hashes[i]) << i;
+  }
+  for (int i = 0; i < 32; ++i) {
+    const std::string key = "ordinary" + std::to_string(i);
+    EXPECT_EQ(seen[key], HashKey1(key)) << key;
+  }
 }
 
 // Property: the map agrees with std::map under a random op sequence.
